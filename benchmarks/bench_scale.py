@@ -1,14 +1,11 @@
-"""Internet-scale benchmark: sharded AS-parallel engine + flyweight packets.
+"""Internet-scale benchmark: the sharded AS-parallel engine.
 
-Three measurements, written to ``BENCH_scale.json`` at the repo root:
+Two measurements, written to ``BENCH_scale.json`` at the repo root:
 
 * **engine** — raw scheduler throughput of the rebuilt hot loop: the
   handle-free ``post()`` path (what every packet hop now uses) and the
   cancellable ``schedule()`` path, compared against the PR-1 committed
   baseline of 156,859 events/s (``BENCH_fastpath.json``).
-* **flyweight** — the same multi-AS scenario run single-shard with and
-  without the :class:`~repro.ip.flyweight.PacketPool`, in simulation
-  events/s and delivered packets/s.
 * **scale** — the ≥500-node multi-AS ring run at 1..N workers through the
   conservative-lookahead sharded scheduler, with per-worker and aggregate
   events/s plus the determinism digest CI diffs across worker counts.
@@ -91,52 +88,7 @@ def bench_engine(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 2. Flyweight packet path vs object path
-# ----------------------------------------------------------------------
-def _run_single(cfg: ScaleConfig, horizon: float) -> dict:
-    builder = MultiAsBuilder(cfg)
-    start_wall = time.perf_counter()
-    start_cpu = time.process_time()
-    with ShardedSimulation(builder, 1, lookahead=builder.lookahead()) as ss:
-        ss.run(until=horizon)
-        summary = ss.collect()[0]
-    wall = time.perf_counter() - start_wall
-    cpu = time.process_time() - start_cpu
-    events = summary["events_processed"]
-    packets = summary["delivered"] + summary["forwarded"]
-    return {
-        "wall_s": round(wall, 3),
-        "cpu_s": round(cpu, 3),
-        "events": events,
-        "events_s": round(events / wall),
-        "packets": packets,
-        "packets_s": round(packets / wall),
-        "delivered": summary["delivered"],
-        "sink_packets": summary["sink_packets"],
-        "pool": summary.get("pool"),
-    }
-
-
-def bench_flyweight(cfg: ScaleConfig, horizon: float) -> dict:
-    pooled = _run_single(cfg, horizon)
-    import dataclasses
-
-    object_cfg = dataclasses.replace(cfg, packet_pool=False)
-    plain = _run_single(object_cfg, horizon)
-    return {
-        "pooled": pooled,
-        "object_path": plain,
-        "identical_delivery": (
-            pooled["delivered"] == plain["delivered"]
-            and pooled["sink_packets"] == plain["sink_packets"]),
-        "packets_s_speedup": round(
-            pooled["packets_s"] / plain["packets_s"], 2)
-        if plain["packets_s"] else None,
-    }
-
-
-# ----------------------------------------------------------------------
-# 3. Sharded scaling
+# 2. Sharded scaling
 # ----------------------------------------------------------------------
 def bench_scale(cfg: ScaleConfig, horizon: float, n_shards: int,
                 worker_counts: list[int]) -> dict:
@@ -170,8 +122,7 @@ def bench_scale(cfg: ScaleConfig, horizon: float, n_shards: int,
                 for s in summaries if s["cpu_seconds"])
         det = {
             "collect": sorted(
-                ({k: v for k, v in s.items()
-                  if k not in ("cpu_seconds", "pool")}
+                ({k: v for k, v in s.items() if k != "cpu_seconds"}
                  for s in summaries),
                 key=lambda s: s["shard"]),
             "messages_crossed": crossed,
@@ -229,7 +180,6 @@ def main(argv: list[str]) -> int:
         "mode": "quick" if quick else "full",
         "cpus": _cpus(),
         "engine": bench_engine(quick),
-        "flyweight": bench_flyweight(cfg, horizon),
         "scale": bench_scale(cfg, horizon, n_shards, worker_counts),
     }
     text = json.dumps(results, indent=2)

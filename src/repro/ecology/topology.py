@@ -149,13 +149,15 @@ class EcologyNet:
     while keeping the per-AS Internets reachable for addressing.
     """
 
+    # Sole reader: benchmarks/perf/workloads.py (frozen); drop with it.
+    packet_pool = None
+
     def __init__(self, config: EcologyConfig):
         self.config = config
         self.scale = config.scale_config()
         build = _EcologyBuilder(self.scale)(0, 1)
         shard_net = build.net
         self.sim = shard_net.sim
-        self.packet_pool = shard_net.packet_pool
         self.internets = shard_net.internets
         #: Campaign RNG domain, disjoint from the per-AS Internets'
         #: (they use seed*1000 + as_index; 997 >= n_as is reserved).

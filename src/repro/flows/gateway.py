@@ -86,9 +86,8 @@ class FlowGateway:
         """Soft state is volatile by design: a crash simply clears it.
 
         The data plane dies with the node too: every queued packet is
-        flushed (back to the pool) and the pending serve callback is
-        invalidated — a crashed gateway must be *silent*, not drain its
-        scheduler onto the wire.
+        flushed and the pending serve callback is invalidated — a crashed
+        gateway must be *silent*, not drain its scheduler onto the wire.
         """
         self.state_losses += 1
         self.packets_flushed_on_crash += self.scheduler.flush()

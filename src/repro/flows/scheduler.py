@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..ip.address import Address
 from ..ip.packet import TOS_CE, TOS_ECT, Datagram
-from ..netlayer.link import Interface, _obs_of, _release_dropped
+from ..netlayer.link import Interface, _obs_of
 from ..netlayer.red import DROP, MARK
 from ..sim.engine import Simulator
 from .flowspec import FlowSpec, flow_key_of
@@ -260,8 +260,7 @@ class DrrScheduler:
 
     def _drop(self, datagram: Datagram, reason: str, flow_key: tuple,
               *, notify: bool = False) -> None:
-        """Account one scheduler drop (per-flow reason) and release the
-        shell back to the pool.
+        """Account one scheduler drop (per-flow reason).
 
         With ``notify``, congestion drops also feed the interface's
         queue-drop machinery (drop counter + ``on_queue_drop`` hook) so
@@ -280,7 +279,6 @@ class DrrScheduler:
             self.iface.stats.packets_dropped_queue += 1
             if self.iface.on_queue_drop is not None:
                 self.iface.on_queue_drop(datagram)
-        _release_dropped(self.iface, datagram)
 
     def _serve_next(self, epoch: Optional[int] = None) -> None:
         if epoch is not None and epoch != self._epoch:
@@ -292,9 +290,6 @@ class DrrScheduler:
         datagram, next_hop = selected
         self._busy = True
         self.stats.dequeued += 1
-        # Capture the length *before* transmit: when the link drops the
-        # packet synchronously (down, queue full) the pooled shell is
-        # released — and possibly recycled — inside transmit_now.
         length = datagram.total_length
         self.stats.bytes_sent += length
         self.iface.transmit_now(datagram, next_hop)

@@ -168,7 +168,6 @@ def build_flow_topology(
     bulk_interval: float = 0.0125,
     with_bulk: bool = True,
     observe: bool = False,
-    pool: bool = False,
     trace: bool = False,
     settle: float = 10.0,
 ) -> FlowTopology:
@@ -195,8 +194,6 @@ def build_flow_topology(
     net.connect(g2, s, bandwidth_bps=10e6, delay=0.001)
     if observe:
         net.observe()
-    if pool:
-        net.enable_packet_pool()
     net.start_routing()
     net.converge(settle=settle)
 

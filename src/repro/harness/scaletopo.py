@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ip.address import Address, Prefix
-from ..ip.flyweight import PacketPool
 from ..ip.forwarding import Route
 from ..netlayer.link import Interface, PointToPointLink
 from ..routing.distance_vector import DistanceVectorRouting
@@ -53,8 +52,6 @@ class ScaleConfig:
     gateways_per_as: int = 8
     hosts_per_lan: int = 7
     seed: int = 0
-    #: Pooled flyweight datagrams (the fast path) or plain allocation.
-    packet_pool: bool = True
     #: Interior p2p links (star spokes).
     intra_bandwidth: float = 1_544_000.0   # T1
     intra_delay: float = 0.002
@@ -87,12 +84,14 @@ class ScaleConfig:
 
 
 class _ShardNet:
-    """What :class:`ShardBuild` calls ``net``: the shard's simulator, the
-    shared packet pool, and the per-AS Internets living on them."""
+    """What :class:`ShardBuild` calls ``net``: the shard's simulator and
+    the per-AS Internets living on it."""
 
-    def __init__(self, sim: Simulator, packet_pool):
+    # Sole reader: benchmarks/perf/workloads.py (frozen); drop with it.
+    packet_pool = None
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.packet_pool = packet_pool
         self.internets: dict[int, Internet] = {}
         self.sinks: dict[tuple, object] = {}
         self.flows: list = []
@@ -112,7 +111,6 @@ class MultiAsBuilder:
 
     # -- partition ------------------------------------------------------
     def shard_of(self, as_index: int, n_shards: int) -> int:
-        n_as = self.config.n_as
         for s in range(n_shards):
             if self._block(s, n_shards).count(as_index):
                 return s
@@ -129,8 +127,7 @@ class MultiAsBuilder:
         if cfg.n_as >= 64:
             raise ValueError("addressing plan supports at most 63 ASes")
         sim = Simulator()
-        pool = PacketPool() if cfg.packet_pool else None
-        shard_net = _ShardNet(sim, pool)
+        shard_net = _ShardNet(sim)
         ports: dict[str, Interface] = {}
         outbox: list = []
         block = self._block(shard_id, n_shards)
@@ -148,8 +145,6 @@ class MultiAsBuilder:
                        lan_pool=f"10.{as_index}.0.0",
                        p2p_pool=f"10.{100 + as_index}.0.0")
         shard_net.internets[as_index] = net
-        if shard_net.packet_pool is not None:
-            net.enable_packet_pool(shard_net.packet_pool)
         gws = [net.gateway(f"A{as_index}G{g}")
                for g in range(cfg.gateways_per_as)]
         # Star interior: every spoke to the hub (gateway 0).
@@ -355,7 +350,7 @@ class _Collector:
         for sink in self.shard_net.sinks.values():
             sink_packets += sink.packets
             sink_bytes += sink.bytes
-        summary = {
+        return {
             "delivered": delivered,
             "forwarded": forwarded,
             "originated": originated,
@@ -365,10 +360,6 @@ class _Collector:
             "flows": len(self.shard_net.flows),
             "per_as": per_as,
         }
-        pool = self.shard_net.packet_pool
-        if pool is not None:
-            summary["pool"] = pool.counters()
-        return summary
 
 class RingNet:
     """Campaign-facing adapter over the single-shard multi-AS build.
@@ -387,7 +378,6 @@ class RingNet:
         build = MultiAsBuilder(config)(0, 1)
         shard_net = build.net
         self.sim = shard_net.sim
-        self.packet_pool = shard_net.packet_pool
         self.internets = shard_net.internets
         self.sinks = shard_net.sinks
         self.flows = shard_net.flows

@@ -50,6 +50,9 @@ class Internet:
     >>> net.sim.run(until=10)   # convergence
     """
 
+    # Sole reader: benchmarks/perf/workloads.py (frozen); drop with it.
+    packet_pool = None
+
     def __init__(self, *, seed: int = 0, trace: bool = False,
                  sim: Optional[Simulator] = None,
                  p2p_pool: str = "10.200.0.0", lan_pool: str = "10.100.0.0"):
@@ -64,9 +67,6 @@ class Internet:
         #: The :class:`~repro.obs.core.Observability` layer, installed by
         #: :meth:`observe`; None until then (the un-observed fast path).
         self.obs = None
-        #: The :class:`~repro.ip.flyweight.PacketPool`, installed by
-        #: :meth:`enable_packet_pool`; None until then (the object path).
-        self.packet_pool = None
         # Auto-allocation pools are parameters so several Internets can
         # coexist without address collisions — the sharded scheduler gives
         # each AS shard its own slice of 10/8.
@@ -85,8 +85,6 @@ class Internet:
         self.hosts[name] = host
         if self.obs is not None:
             self.obs.attach_endpoint(host)
-        if self.packet_pool is not None:
-            host.node.packet_pool = self.packet_pool
         return host
 
     def gateway(self, name: str) -> Gateway:
@@ -96,8 +94,6 @@ class Internet:
         self.gateways[name] = gateway
         if self.obs is not None:
             self.obs.attach_endpoint(gateway)
-        if self.packet_pool is not None:
-            gateway.node.packet_pool = self.packet_pool
         return gateway
 
     def node_of(self, endpoint: Union[Host, Gateway, Node]) -> Node:
@@ -230,26 +226,6 @@ class Internet:
         obs = Observability(max_traces=max_traces, profile=profile)
         obs.install(self)
         return obs
-
-    # ------------------------------------------------------------------
-    # Flyweight packet pooling
-    # ------------------------------------------------------------------
-    def enable_packet_pool(self, pool=None):
-        """Install a net-wide :class:`~repro.ip.flyweight.PacketPool`.
-
-        Every node (existing and future) draws datagram shells from the
-        shared pool instead of allocating per hop; forwarding semantics are
-        unchanged (differential tests prove the two paths packet-for-packet
-        identical).  Idempotent: a second call returns the installed pool.
-        """
-        if self.packet_pool is not None:
-            return self.packet_pool
-        from ..ip.flyweight import PacketPool
-
-        self.packet_pool = pool if pool is not None else PacketPool()
-        for node in self.nodes().values():
-            node.packet_pool = self.packet_pool
-        return self.packet_pool
 
     def profile_table(self, *, per_handler: bool = False):
         """The simulator wall-time profile table (requires :meth:`observe`)."""

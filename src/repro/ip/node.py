@@ -93,14 +93,6 @@ class Node:
         #: below is guarded by ``obs is not None and obs.enabled`` so the
         #: un-observed fast path pays one attribute load per packet.
         self.obs = None
-        #: Optional :class:`~repro.ip.flyweight.PacketPool`.  None by
-        #: default (the object path: every hop allocates a Datagram).
-        #: When set — :meth:`Internet.enable_packet_pool` installs one
-        #: net-wide — forwarding clones draw recycled shells from the pool
-        #: and terminal points (local delivery, drops) return them.  The
-        #: two paths are packet-for-packet identical; see
-        #: :mod:`repro.ip.flyweight` for the lifetime rules.
-        self.packet_pool = None
         self.interfaces: list[Interface] = []
         #: Integer values of every owned interface address — the
         #: per-arrival ``owns_address`` check as one set probe instead of
@@ -271,22 +263,16 @@ class Node:
             return False
         dst_addr = dst if isinstance(dst, Address) else Address(dst)
         src_addr = src if src is not None else self.source_for(dst_addr)
-        pool = self.packet_pool
-        if pool is not None and not dst_addr.is_broadcast:
-            datagram = pool.acquire(
-                src_addr, dst_addr, protocol, payload, ttl=ttl,
-                ident=self.next_ident(), dont_fragment=dont_fragment, tos=tos)
-        else:
-            datagram = Datagram(
-                src=src_addr,
-                dst=dst_addr,
-                protocol=protocol,
-                payload=payload,
-                ttl=ttl,
-                tos=tos,
-                ident=self.next_ident(),
-                dont_fragment=dont_fragment,
-            )
+        datagram = Datagram(
+            src=src_addr,
+            dst=dst_addr,
+            protocol=protocol,
+            payload=payload,
+            ttl=ttl,
+            tos=tos,
+            ident=self.next_ident(),
+            dont_fragment=dont_fragment,
+        )
         self.stats.originated += 1
         self.stats.bytes_originated += datagram.total_length
         obs = self.obs
@@ -336,24 +322,6 @@ class Node:
     # ------------------------------------------------------------------
     # The forwarding path
     # ------------------------------------------------------------------
-    def _release_terminal(self, datagram: Datagram,
-                          iface: Optional[Interface] = None) -> None:
-        """Return a pooled shell whose packet's life just ended here.
-
-        A no-op without a pool, for datagrams the pool does not own, and
-        for broadcasts delivered off a shared medium (a LAN hands the
-        *same* object to every member, so no single receiver may recycle
-        it).  See :mod:`repro.ip.flyweight` for the lifetime rules.
-        """
-        pool = self.packet_pool
-        if pool is None:
-            return
-        if iface is not None and getattr(iface.medium, "is_shared", False):
-            dst = datagram.dst
-            if dst.is_broadcast or dst == iface.broadcast_address:
-                return
-        pool.release(datagram)
-
     def _output(self, datagram: Datagram, *, originating: bool) -> bool:
         """Route, fragment and transmit one datagram."""
         self.stats.work_units += 1
@@ -372,7 +340,6 @@ class Node:
             if not originating:
                 self._send_icmp(icmp.destination_unreachable(
                     self.address, datagram, icmp.UNREACH_NET))
-            self._release_terminal(datagram)
             return False
         iface = route.interface
         if not iface.up:
@@ -380,7 +347,6 @@ class Node:
             if obs is not None:
                 obs.drop(self.sim.now, self.name, "drop-link-down", datagram,
                          iface.name)
-            self._release_terminal(datagram)
             return False
         next_hop = route.next_hop
         try:
@@ -393,7 +359,6 @@ class Node:
             if not originating:
                 self._send_icmp(icmp.destination_unreachable(
                     self.address, datagram, icmp.UNREACH_NEEDFRAG))
-            self._release_terminal(datagram)
             return False
         if len(pieces) > 1:
             self.stats.fragments_created += len(pieces)
@@ -406,9 +371,6 @@ class Node:
                         datagram, f"{len(pieces)} pieces, mtu={iface.mtu}")
             for piece in pieces:
                 iface.output(piece, next_hop)
-            # The parent was replaced by its (independently copied)
-            # pieces; its own life ends at the fragmentation point.
-            self._release_terminal(datagram)
             return True
         iface.output(datagram, next_hop)
         return True
@@ -422,7 +384,6 @@ class Node:
             self.stats.dropped_down += 1
             if obs is not None:
                 obs.drop(self.sim.now, self.name, "drop-node-down", datagram)
-            self._release_terminal(datagram, iface)
             return
         self.stats.work_units += 1
         if self.owns_address(datagram.dst) or datagram.dst.is_broadcast or (
@@ -435,7 +396,6 @@ class Node:
             if obs is not None:
                 obs.drop(self.sim.now, self.name, "drop-not-mine", datagram,
                          str(datagram.dst))
-            self._release_terminal(datagram, iface)
             return
         self._forward(datagram, iface)
 
@@ -453,30 +413,18 @@ class Node:
                 obs.drop(self.sim.now, self.name, "drop-ttl", datagram,
                          f"{datagram.src}->{datagram.dst}")
             self._send_icmp(icmp.time_exceeded(self.address, datagram))
-            self._release_terminal(datagram, iface_in)
             return
         if iface_in is not None and self.send_redirects:
             self._maybe_redirect(datagram, iface_in)
-        pool = self.packet_pool
-        if pool is not None:
-            forwarded = pool.clone_forward(datagram)
-        else:
-            forwarded = datagram.copy(ttl=datagram.ttl - 1)
+        forwarded = datagram.copy(ttl=datagram.ttl - 1)
         for inspector in self.forward_inspectors:
             inspector(forwarded)
-        # Captured before _output: the fragmentation path may release the
-        # clone (its pieces carry on), and release clears the payload.
-        forwarded_length = forwarded.total_length
         if self._output(forwarded, originating=False):
             self.stats.forwarded += 1
-            self.stats.bytes_forwarded += forwarded_length
+            self.stats.bytes_forwarded += forwarded.total_length
             if obs is not None:
                 obs.hop(self.sim.now, self.name, "forward", "forwarded",
                         forwarded, f"ttl={forwarded.ttl}")
-        # The incoming original's life ends here either way: its onward
-        # identity is the clone (ICMP time-exceeded/redirect consumers
-        # above copy header bytes synchronously, retaining nothing).
-        self._release_terminal(datagram, iface_in)
 
     def _maybe_redirect(self, datagram: Datagram, iface_in: Interface) -> None:
         """ICMP Redirect: the datagram will leave by the interface it came
@@ -511,8 +459,7 @@ class Node:
     def _deliver_local(self, datagram: Datagram, iface: Optional[Interface]) -> None:
         completed = self.reassembler.accept(datagram)
         if completed is None:
-            # A fragment, buffered by the reassembler (which retains it) —
-            # lifetime rule 3: never release fragments at delivery.
+            # A fragment, buffered by the reassembler.
             return
         self.stats.delivered += 1
         self.stats.bytes_delivered += completed.total_length
@@ -522,24 +469,16 @@ class Node:
                       if completed is not datagram else "")
             obs.hop(self.sim.now, self.name, "deliver", "delivered",
                     completed, detail)
-        # ``completed`` is either the arriving datagram itself (whole
-        # packets — pool-owned when pooling is on) or a fresh reassembly
-        # copy (never pool-owned); handlers consume the payload bytes
-        # synchronously, so its life ends at each exit below and
-        # _release_terminal no-ops on whatever the pool does not own.
         if completed.protocol == PROTO_ICMP:
             self._handle_icmp(completed)
-            self._release_terminal(completed, iface)
             return
         handler = self._protocols.get(completed.protocol)
         if handler is None:
             self.stats.dropped_bad_header += 1
             self._send_icmp(icmp.destination_unreachable(
                 self.address, completed, icmp.UNREACH_PROTOCOL))
-            self._release_terminal(completed, iface)
             return
         handler(self, completed, iface)
-        self._release_terminal(completed, iface)
 
     def _handle_icmp(self, datagram: Datagram) -> None:
         try:

@@ -11,7 +11,7 @@ fragmentation (E11) manipulates genuine offset/flag fields.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .address import Address
 from .checksum import internet_checksum, verify_checksum
@@ -63,12 +63,9 @@ class Datagram:
     transport segment (TCP/UDP/ICMP bytes).
 
     ``slots=True`` matters: datagrams are the hottest allocation in the
-    simulator (one per hop on the object path), and dropping the per-
+    simulator (one per hop), and dropping the per-
     instance ``__dict__`` roughly halves both the memory and the creation
-    cost.  It also makes the class recyclable by the flyweight
-    :class:`~repro.ip.flyweight.PacketPool`, which reassigns every slot on
-    reuse — any stray attribute poked onto a datagram would be a latent
-    bug, and slots turn it into an immediate ``AttributeError``.
+    cost.
     """
 
     src: Address
@@ -91,14 +88,6 @@ class Datagram:
     #: deliberately ignore it (a parsed datagram starts a fresh, untraced
     #: life, exactly like a packet entering from outside the observed net).
     trace_id: int = 0
-    #: Flyweight-pool ownership marker (see :mod:`repro.ip.flyweight`):
-    #: 0 = ordinary object, 1 = live pool product, 2 = released shell.
-    #: Carried on the datagram itself so pool release/ownership checks
-    #: are two attribute operations instead of a live-object table.
-    #: Excluded from equality and repr — it is lifetime state, not header
-    #: content — and never copied (a ``copy()`` derivative starts an
-    #: ordinary, un-pooled life).
-    pool_state: int = field(default=0, compare=False, repr=False)
 
     @property
     def header_length(self) -> int:
@@ -134,7 +123,6 @@ class Datagram:
         new.fragment_offset = self.fragment_offset
         new.tos = self.tos
         new.trace_id = self.trace_id
-        new.pool_state = 0
         for name, value in changes.items():
             setattr(new, name, value)
         return new

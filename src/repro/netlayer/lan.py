@@ -15,7 +15,7 @@ from typing import Optional
 from ..ip.address import Address, Prefix
 from ..ip.packet import Datagram
 from ..sim.engine import Simulator
-from .link import Interface, _obs_of, _release_dropped
+from .link import Interface, _obs_of
 from .loss import LossModel, NoLoss
 
 __all__ = ["LanBus"]
@@ -30,11 +30,6 @@ class LanBus:
     """
 
     FRAME_OVERHEAD = 18  # Ethernet II header + FCS
-
-    #: Shared medium: one broadcast frame is delivered — as the *same*
-    #: object — to every member, so receivers must never recycle pooled
-    #: broadcast datagrams (flyweight lifetime rule 4; Node checks this).
-    is_shared = True
 
     def __init__(
         self,
@@ -104,7 +99,6 @@ class LanBus:
                  next_hop: Optional[Address]) -> None:
         if not self._up:
             iface.stats.packets_dropped_down += 1
-            _release_dropped(iface, datagram)
             return
         if self._queued >= self.queue_limit:
             iface.notify_queue_drop(datagram)
@@ -139,12 +133,10 @@ class LanBus:
             # Flushed by an administrative down while in flight; account
             # the loss to the sender rather than silently vanishing it.
             sender.stats.packets_dropped_down += 1
-            _release_dropped(sender, datagram)
             return
         self._queued = max(0, self._queued - 1)
         if not self._up:
             sender.stats.packets_lost += 1
-            _release_dropped(sender, datagram)
             return
         if self.loss.lose(self.rng, datagram.total_length):
             sender.stats.packets_lost += 1
@@ -152,7 +144,6 @@ class LanBus:
             if obs is not None and sender.node is not None:
                 obs.drop(self.sim.now, sender.node.name, "drop-link-loss",
                          datagram, self.name)
-            _release_dropped(sender, datagram)
             return
         if target.is_broadcast or target == self._broadcast:
             for iface in list(self._interfaces.values()):
@@ -164,7 +155,6 @@ class LanBus:
             # Nobody holds that address — silently discarded, as on a real
             # LAN where ARP would have failed.
             sender.stats.packets_lost += 1
-            _release_dropped(sender, datagram)
             return
         receiver.deliver(datagram)
 

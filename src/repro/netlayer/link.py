@@ -50,20 +50,6 @@ def _obs_of(iface: "Interface"):
     return obs
 
 
-def _release_dropped(iface: "Interface", datagram: Datagram) -> None:
-    """Return a pooled shell the medium just dropped (terminal point).
-
-    Safe unconditionally: the pool ignores datagrams it does not own, and
-    broadcasts are never pool-owned in the first place (see the lifetime
-    rules in :mod:`repro.ip.flyweight`).
-    """
-    node = iface.node
-    if node is not None:
-        pool = node.packet_pool
-        if pool is not None:
-            pool.release(datagram)
-
-
 @dataclass
 class LinkStats:
     """Per-direction transmission counters (feeds goal-5 cost accounting)."""
@@ -128,7 +114,6 @@ class Interface:
                      datagram, self.name)
         if self.on_queue_drop is not None:
             self.on_queue_drop(datagram)
-        _release_dropped(self, datagram)
 
     @property
     def mtu(self) -> int:
@@ -179,14 +164,6 @@ class PointToPointLink:
 
     #: Link-layer framing overhead charged per packet (HDLC-ish).
     FRAME_OVERHEAD = 8
-
-    #: Exactly two attachments — a unicast datagram reaching its receiver
-    #: is that receiver's alone.  Shared media (LANs) override this to
-    #: True, which is what stops the flyweight pool from recycling a
-    #: broadcast that every member is still reading.  A class attribute
-    #: (not per-instance) so the per-hop release check is a plain, fast
-    #: lookup on the hot path.
-    is_shared = False
 
     def __init__(
         self,
@@ -284,7 +261,6 @@ class PointToPointLink:
             if obs is not None and iface.node is not None:
                 obs.drop(self.sim.now, iface.node.name, "drop-link-down",
                          datagram, self.name)
-            _release_dropped(iface, datagram)
             return
         red = self._red.get(iface)
         if red is not None:
@@ -321,7 +297,7 @@ class PointToPointLink:
         remote = self.other_end(iface)
         epoch = self._epoch
         # Fire-and-forget: packet arrivals are never cancelled, so they
-        # need no handle and no Event record.
+        # need no handle.
         self.sim.post_at(
             arrival,
             lambda: self._arrive(iface, remote, datagram, epoch),
@@ -334,7 +310,6 @@ class PointToPointLink:
             # The link went down (and possibly came back) after this packet
             # was transmitted: it was flushed, and already counted in
             # packets_dropped_down when the flap flushed the queue.
-            _release_dropped(sender, datagram)
             return
         self._queued[sender] = max(0, self._queued[sender] - 1)
         if not self._up:
@@ -343,7 +318,6 @@ class PointToPointLink:
             if obs is not None and sender.node is not None:
                 obs.drop(self.sim.now, sender.node.name, "drop-link-down",
                          datagram, f"{self.name} (in flight)")
-            _release_dropped(sender, datagram)
             return
         if self.loss.lose(self.rng, datagram.total_length):
             sender.stats.packets_lost += 1
@@ -351,7 +325,6 @@ class PointToPointLink:
             if obs is not None and sender.node is not None:
                 obs.drop(self.sim.now, sender.node.name, "drop-link-loss",
                          datagram, self.name)
-            _release_dropped(sender, datagram)
             return
         remote.deliver(datagram)
 

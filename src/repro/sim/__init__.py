@@ -1,12 +1,11 @@
 """Discrete-event simulation substrate (engine, timers, RNG, tracing)."""
 
-from .engine import Event, EventHandle, SimulationError, Simulator
+from .engine import EventHandle, SimulationError, Simulator
 from .process import PeriodicProcess, Timer
 from .rand import RandomStreams
 from .trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
-    "Event",
     "EventHandle",
     "SimulationError",
     "Simulator",

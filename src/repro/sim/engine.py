@@ -14,17 +14,17 @@ The engine is deliberately small and explicit:
   (``seqno`` is unique).  ``payload`` is either a bare callable — a
   *fire-and-forget* event posted with :meth:`Simulator.post` /
   :meth:`Simulator.post_at`, which allocates nothing but the tuple — or an
-  :class:`Event` record when the caller needs a cancellation handle
+  :class:`EventHandle` when the caller needs to cancel
   (:meth:`Simulator.schedule` / :meth:`Simulator.call_at`).
 * The :meth:`Simulator.run` loop pops and fires inline (no per-event
   method call), batching same-timestamp runs through one tight cycle.
 
-The split matters at internet scale: the overwhelming majority of events
+One handle class, two entry points: the overwhelming majority of events
 (every packet hop on every medium) are never cancelled, so they need no
 handle, no mutable record and no lazy-deletion bookkeeping — just a heap
-tuple.  Cancellable timers (TCP RTO, routing periodics, reassembly) still
-get the full :class:`Event`/:class:`EventHandle` treatment, with
-``__slots__`` keeping the record small.
+tuple.  Cancellable timers (TCP RTO, routing periodics, reassembly) get an
+:class:`EventHandle`, which is itself the heap payload: the one record
+both the caller and the run loop look at.
 
 Determinism rules
 -----------------
@@ -41,59 +41,35 @@ import math
 from time import perf_counter
 from typing import Callable, Optional
 
-__all__ = ["Event", "EventHandle", "Simulator", "SimulationError"]
+__all__ = ["EventHandle", "Simulator", "SimulationError"]
+
+_INF = math.inf
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulator (e.g. scheduling in the past)."""
 
 
-class Event:
-    """The mutable record behind a *cancellable* scheduled action.
-
-    Only events that hand out an :class:`EventHandle` allocate one of
-    these; fire-and-forget events live entirely in their heap tuple.
-    Ordering lives in the heap tuple (time, priority, seqno), not here.
-    """
-
-    __slots__ = ("time", "priority", "seqno", "action", "cancelled",
-                 "fired", "label")
-
-    def __init__(self, time: float, priority: int, seqno: int,
-                 action: Callable[[], None], cancelled: bool = False,
-                 fired: bool = False, label: str = ""):
-        self.time = time
-        self.priority = priority
-        self.seqno = seqno
-        self.action = action
-        self.cancelled = cancelled
-        self.fired = fired
-        self.label = label
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired
-                                                    else "pending")
-        return f"<Event t={self.time} prio={self.priority} {state} {self.label!r}>"
-
-
 class EventHandle:
-    """Opaque handle returned by :meth:`Simulator.schedule`.
+    """The record behind a *cancellable* event, returned by
+    :meth:`Simulator.schedule`.
 
-    Allows cancellation and rescheduling of a pending event; this is how
-    protocol timers (TCP retransmission, routing periodic updates, soft-state
-    timeouts) are implemented.
+    Allows cancellation of a pending event; this is how protocol timers
+    (TCP retransmission, routing periodic updates, soft-state timeouts) are
+    implemented.  The handle is the heap payload itself; ordering lives in
+    the heap tuple (time, priority, seqno), not here.
     """
 
-    __slots__ = ("_event", "_sim")
+    __slots__ = ("time", "action", "cancelled", "fired", "_sim")
 
-    def __init__(self, event: Event, sim: "Simulator"):
-        self._event = event
+    def __init__(self, time: float, action: Callable[[], None],
+                 sim: "Simulator"):
+        #: Absolute simulation time at which the event will fire.
+        self.time = time
+        self.action = action
+        self.cancelled = False
+        self.fired = False
         self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time at which the event will fire."""
-        return self._event.time
 
     @property
     def active(self) -> bool:
@@ -103,14 +79,13 @@ class EventHandle:
         ``time == sim.now`` is *not* active, even though its timestamp
         equals the clock.
         """
-        return not self._event.cancelled and not self._event.fired
+        return not self.cancelled and not self.fired
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired or was cancelled."""
-        event = self._event
-        if event.fired or event.cancelled:
+        if self.fired or self.cancelled:
             return
-        event.cancelled = True
+        self.cancelled = True
         self._sim._note_cancelled()
 
 
@@ -136,7 +111,7 @@ class Simulator:
     def __init__(self, trace: Optional[Callable[[float, str], None]] = None):
         self._now = 0.0
         # Heap of (time, priority, seqno, payload, label); payload is a
-        # bare callable (fire-and-forget) or an Event (cancellable).
+        # bare callable (fire-and-forget) or an EventHandle (cancellable).
         self._queue: list[tuple] = []
         self._seq = itertools.count()
         self._trace = trace
@@ -209,7 +184,7 @@ class Simulator:
         # inside a fired action — rebinding would strand that alias.
         self._queue[:] = [
             entry for entry in self._queue
-            if type(entry[3]) is not Event or not entry[3].cancelled
+            if type(entry[3]) is not EventHandle or not entry[3].cancelled
         ]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
@@ -218,6 +193,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # All four entry points validate with one chained comparison,
+    # ``low <= value < inf``: False for NaN, for anything below ``low`` and
+    # for +inf, at the cost of no call on the hot path.
+    def _invalid(self, what: str, value: float) -> SimulationError:
+        return SimulationError(
+            f"invalid event {what} {value!r} at now={self._now}: must be "
+            f"finite and not in the past")
+
     def schedule(
         self,
         delay: float,
@@ -231,8 +214,8 @@ class Simulator:
         ``delay`` must be non-negative and finite.  Returns a handle that can
         cancel the event.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not 0 <= delay < _INF:
+            raise self._invalid("delay", delay)
         return self.call_at(self._now + delay, action, priority=priority, label=label)
 
     def call_at(
@@ -244,16 +227,12 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``action`` at an absolute simulation time."""
-        if math.isnan(time) or math.isinf(time):
-            raise SimulationError(f"invalid event time {time!r}")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        seqno = next(self._seq)
-        event = Event(time, priority, seqno, action, label=label)
-        heapq.heappush(self._queue, (time, priority, seqno, event, label))
-        return EventHandle(event, self)
+        if not self._now <= time < _INF:
+            raise self._invalid("time", time)
+        handle = EventHandle(time, action, self)
+        heapq.heappush(self._queue,
+                       (time, priority, next(self._seq), handle, label))
+        return handle
 
     def post(
         self,
@@ -263,17 +242,17 @@ class Simulator:
         priority: int = 0,
         label: str = "",
     ) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, no Event record.
+        """Fire-and-forget :meth:`schedule`: no handle.
 
         The hot-path variant for the overwhelming majority of events that
         are never cancelled (packet arrivals, transmissions, traffic
         ticks).  Costs one heap tuple; returns nothing.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
+        if not 0 <= delay < _INF:
+            raise self._invalid("delay", delay)
         heapq.heappush(self._queue,
-                       (time, priority, next(self._seq), action, label))
+                       (self._now + delay, priority, next(self._seq), action,
+                        label))
 
     def post_at(
         self,
@@ -284,12 +263,8 @@ class Simulator:
         label: str = "",
     ) -> None:
         """Fire-and-forget :meth:`call_at` (see :meth:`post`)."""
-        if math.isnan(time) or math.isinf(time):
-            raise SimulationError(f"invalid event time {time!r}")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
+        if not self._now <= time < _INF:
+            raise self._invalid("time", time)
         heapq.heappush(self._queue,
                        (time, priority, next(self._seq), action, label))
 
@@ -301,7 +276,7 @@ class Simulator:
         queue = self._queue
         while queue:
             time, _priority, _seqno, payload, label = heapq.heappop(queue)
-            if type(payload) is Event:
+            if type(payload) is EventHandle:
                 if payload.cancelled:
                     self._cancelled_in_queue -= 1
                     continue
@@ -340,12 +315,12 @@ class Simulator:
         # tight cycle back to back — one pop, one fire, no re-entry.
         queue = self._queue
         heappop = heapq.heappop
-        event_t = Event
+        handle_t = EventHandle
         try:
             while queue and not self._stop_requested:
                 head = queue[0]
                 payload = head[3]
-                if type(payload) is event_t and payload.cancelled:
+                if type(payload) is handle_t and payload.cancelled:
                     # Skip cancelled husks before peeking: a husk at the
                     # head with time <= until must not let a live event
                     # *beyond* ``until`` fire.
@@ -362,7 +337,7 @@ class Simulator:
                     )
                 heappop(queue)
                 label = head[4]
-                if type(payload) is event_t:
+                if type(payload) is handle_t:
                     payload.fired = True
                     action = payload.action
                 else:

@@ -28,9 +28,8 @@ is an ordinary medium that charges serialization and propagation exactly
 like a :class:`~repro.netlayer.link.PointToPointLink`, but instead of
 scheduling a local arrival it serializes the datagram to RFC-791 wire
 bytes and appends ``(arrival, dst_shard, dst_port, wire, trace_id)`` to
-the shard's outbox.  The ingress half parses the bytes back — through the
-destination shard's :class:`~repro.ip.flyweight.PacketPool` when pooling
-is on, interning the addresses — and delivers to the attached interface.
+the shard's outbox.  The ingress half parses the bytes back and delivers
+to the attached interface.
 Crossing the seam by value, never by reference, is what makes one-process
 and N-process execution indistinguishable.
 
@@ -55,6 +54,7 @@ from dataclasses import dataclass, field
 from time import perf_counter, process_time
 from typing import Callable, Optional
 
+from ..ip.packet import Datagram
 from .engine import SimulationError, Simulator
 
 __all__ = ["ConduitPort", "ShardBuild", "ShardHarness", "ShardedSimulation"]
@@ -72,7 +72,6 @@ class ConduitPort:
     """
 
     FRAME_OVERHEAD = 8  # match PointToPointLink framing
-    is_shared = False   # point-to-point semantics for pool release
 
     def __init__(
         self,
@@ -117,10 +116,6 @@ class ConduitPort:
         self.outbox.append(
             (arrival, self.dst_shard, self.dst_port, datagram.to_bytes(),
              datagram.trace_id))
-        # Serialized by value: the local shell's life ends at the seam.
-        node = iface.node
-        if node is not None and node.packet_pool is not None:
-            node.packet_pool.release(datagram)
 
 
 @dataclass
@@ -161,8 +156,6 @@ class ShardHarness:
         destination heap's tie-break, so delivery is deterministic.
         """
         ports = self.build.ports
-        net = self.build.net
-        pool = getattr(net, "packet_pool", None)
         sim = self.sim
         now = sim.now
         for arrival, port_name, wire, trace_id in messages:
@@ -172,7 +165,7 @@ class ShardHarness:
                     f"(lookahead window too wide for the conduit delays)")
             iface = ports[port_name]
             sim.post_at(arrival,
-                        _Ingress(iface, wire, trace_id, pool),
+                        _Ingress(iface, wire, trace_id),
                         label=f"conduit:{port_name}")
 
     def run_window(self, until: float) -> list:
@@ -195,22 +188,16 @@ class ShardHarness:
 class _Ingress:
     """Deferred ingress parse+deliver (cheaper than a closure per packet)."""
 
-    __slots__ = ("iface", "wire", "trace_id", "pool")
+    __slots__ = ("iface", "wire", "trace_id")
 
-    def __init__(self, iface, wire, trace_id, pool):
+    def __init__(self, iface, wire, trace_id):
         self.iface = iface
         self.wire = wire
         self.trace_id = trace_id
-        self.pool = pool
 
     def __call__(self) -> None:
-        if self.pool is not None:
-            datagram = self.pool.from_wire(self.wire, trace_id=self.trace_id)
-        else:
-            from ..ip.packet import Datagram
-
-            datagram = Datagram.from_bytes(self.wire)
-            datagram.trace_id = self.trace_id
+        datagram = Datagram.from_bytes(self.wire)
+        datagram.trace_id = self.trace_id
         self.iface.deliver(datagram)
 
 

@@ -258,6 +258,23 @@ def test_firing_order_preserved_across_compaction():
     assert fired == sorted(fired)
 
 
+def test_mid_run_compaction_still_fires_every_live_event():
+    """A cancel inside a fired action can compact the heap while run()
+    holds it: every live event must still fire, in order, exactly once."""
+    sim = Simulator()
+    fired = []
+    doomed = [sim.schedule(2.0 + i * 0.01, lambda: fired.append("BAD"))
+              for i in range(200)]
+    live = [1.5, 2.5, 2.995, 9.0]
+    for t in live:
+        sim.schedule(t, lambda t=t: fired.append(t))
+    sim.schedule(1.0, lambda: [h.cancel() for h in doomed])
+    sim.run()
+    assert sim.compactions >= 1
+    assert fired == live
+    assert sim.pending == 0 and sim.queue_size == 0
+
+
 def test_pending_exact_under_churn():
     sim = Simulator()
     rng = random.Random(3)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import Internet
 from repro.ip.address import Address, Prefix
 from repro.ip.node import Node
 from repro.ip.packet import Datagram, PROTO_UDP
@@ -199,6 +200,24 @@ def test_lan_broadcast_reaches_all_but_sender(sim):
     nodes[0].send("10.0.9.255", PROTO_UDP, b"all", ttl=1)
     sim.run(until=1)
     assert counts == [0, 1, 1, 1]
+
+
+def test_lan_directed_broadcast_payload_intact_at_every_member():
+    # A LAN hands the *same* datagram object to every member: each one
+    # must see the whole payload, whatever the others did with it.
+    net = Internet(seed=3)
+    g = net.gateway("G")
+    hosts = [net.host(f"H{i}") for i in range(3)]
+    lan = net.lan("lan0", [g] + hosts)
+    net.start_routing()
+    net.converge(settle=5.0)
+    got = []
+    for h in hosts:
+        h.node.register_protocol(
+            200, lambda node, d, iface: got.append((node.name, d.payload)))
+    assert g.node.send(lan.prefix.broadcast, 200, b"to-everyone", ttl=1)
+    net.sim.run(until=net.sim.now + 1.0)
+    assert sorted(got) == [(f"H{i}", b"to-everyone") for i in range(3)]
 
 
 def test_lan_unknown_address_dropped(sim):

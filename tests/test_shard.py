@@ -34,7 +34,6 @@ def run_scenario(n_shards: int, workers: int, cfg: ScaleConfig = CFG):
     for s in summaries:
         # Execution-dependent fields excluded from the determinism digest.
         s.pop("cpu_seconds", None)
-        s.pop("pool", None)
     return sorted(summaries, key=lambda s: s["shard"]), meta
 
 
@@ -110,7 +109,6 @@ def test_resumable_run():
         resumed = ss.collect()
     for s in resumed:
         s.pop("cpu_seconds", None)
-        s.pop("pool", None)
     straight, _ = run_scenario(n_shards=2, workers=1)
     assert sorted(resumed, key=lambda s: s["shard"]) == straight
 

@@ -103,6 +103,16 @@ def test_nan_time_rejected(sim):
         sim.call_at(math.nan, lambda: None)
 
 
+@pytest.mark.parametrize("entry", ["schedule", "call_at", "post", "post_at"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected_by_every_entry_point(sim, entry, bad):
+    with pytest.raises(SimulationError):
+        getattr(sim, entry)(bad, lambda: None)
+    assert sim.pending == 0
+    sim.run()
+    assert sim.now == 0.0
+
+
 def test_schedule_in_past_rejected(sim):
     sim.schedule(5.0, lambda: None)
     sim.run()
