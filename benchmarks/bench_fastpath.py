@@ -6,7 +6,9 @@ retained reference implementation:
 * **checksum** — vectorized :func:`internet_checksum` vs the per-word
   reference loop, in MB/s over MTU-sized buffers;
 * **LPM** — cached :meth:`RouteTable.lookup` (repeat destinations) vs the
-  uncached longest-prefix scan, in lookups/s;
+  uncached longest-prefix scan, in lookups/s, and ``lookup(Address)`` vs
+  ``lookup(str)`` on the same hot set (the ``Address`` form is what every
+  forwarded datagram pays and must never be the slower one);
 * **events** — :class:`Simulator` schedule/fire throughput, plus a
   cancel-heavy timer workload exercising lazy-deletion heap compaction,
   in events/s.
@@ -123,15 +125,30 @@ def bench_lpm(quick: bool) -> dict:
         for d in dests:
             lookup(d)
 
+    literals = [str(d) for d in dests]
+
+    def run_cached_str():
+        lookup = table.lookup
+        for text in literals:
+            lookup(text)
+
     cached_s, cached_reps = _bench(run_cached, min_time=min_time)
     uncached_s, uncached_reps = _bench(run_uncached, min_time=min_time)
+    str_s, str_reps = _bench(run_cached_str, min_time=min_time)
     cached_rate = cached_reps * len(dests) / cached_s
     uncached_rate = uncached_reps * len(dests) / uncached_s
+    str_rate = str_reps * len(dests) / str_s
+    # lookup(Address) once copy-constructed its argument before probing;
+    # handing over a ready Address must cost no more than a literal to parse.
+    assert cached_rate >= str_rate, (
+        f"lookup(Address) {cached_rate:.0f}/s slower than "
+        f"lookup(str) {str_rate:.0f}/s")
     return {
         "routes": n_routes,
         "working_set": len(dests),
         "uncached_lookups_s": round(uncached_rate),
         "cached_lookups_s": round(cached_rate),
+        "cached_str_lookups_s": round(str_rate),
         "speedup": round(cached_rate / uncached_rate, 2),
     }
 

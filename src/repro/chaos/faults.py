@@ -262,10 +262,14 @@ class ByzantineGateway(Fault):
         self._saved = original
         fault = self
 
-        def malicious_output(datagram, *, originating: bool) -> bool:
+        # ``resolved`` is whatever the node pre-resolved for this exact
+        # datagram (today: its route).  It rides along only while the
+        # datagram goes out untouched.
+        def malicious_output(datagram, *, originating: bool,
+                             **resolved) -> bool:
             if originating or not fault._active:
-                return original(datagram, originating=originating)
-            return fault._perturb(datagram, original)
+                return original(datagram, originating=originating, **resolved)
+            return fault._perturb(datagram, original, resolved)
 
         node._output = malicious_output
         self._active = True
@@ -278,11 +282,16 @@ class ByzantineGateway(Fault):
         self._saved = None
 
     # ------------------------------------------------------------------
-    def _perturb(self, datagram, original) -> bool:
-        """Apply this fault's behavior to one forwarded datagram."""
+    def _perturb(self, datagram, original, resolved) -> bool:
+        """Apply this fault's behavior to one forwarded datagram.
+
+        Every perturbing branch calls ``original`` *without* ``resolved``:
+        a route resolved for the honest datagram is wrong for a rewritten
+        destination and may be stale for a held one, so the honest path
+        resolves the perturbed datagram afresh."""
         if self._rng.random() >= self.rate or not datagram.payload:
             self.passed_through += 1
-            return original(datagram, originating=False)
+            return original(datagram, originating=False, **resolved)
         self.perturbed += 1
         behavior = self.behavior
         if behavior == "corrupt":

@@ -77,6 +77,8 @@ class Address:
         return f"Address('{self}')"
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Address:
+            return self._value == other._value
         if isinstance(other, (Address, int)):
             return self._value == int(other)
         if isinstance(other, str):
@@ -151,9 +153,9 @@ class Prefix:
     @classmethod
     def of(cls, address: Union[str, Address], length: int) -> "Prefix":
         """Build the prefix of ``length`` covering ``address`` (masks host bits)."""
-        addr = Address(address)
+        value = (address if type(address) is Address else Address(address))._value
         mask = 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-        return cls(Address(int(addr) & mask), length)
+        return cls(Address(value & mask), length)
 
     def _mask_int(self) -> int:
         if self.length == 0:
@@ -165,7 +167,8 @@ class Prefix:
         return Address(self._mask_int())
 
     def contains(self, address: Union[str, Address]) -> bool:
-        return (int(Address(address)) & self._mask_int()) == int(self.network)
+        value = (address if type(address) is Address else Address(address))._value
+        return (value & self._mask_int()) == self.network._value
 
     def covers(self, other: "Prefix") -> bool:
         """True if ``other`` is equal to or more specific than this prefix."""

@@ -76,7 +76,7 @@ class RouteTable:
     while routing protocols mutate the table per *event*, :meth:`lookup`
     front-ends the scan with a generation-stamped destination cache:
 
-    * a hit is a single dict probe on ``int(destination)``;
+    * a hit is a single dict probe on the destination's integer value;
     * every mutation (:meth:`install` / :meth:`withdraw` /
       :meth:`withdraw_by_source`) bumps the table generation, so entries
       stamped with an older generation are treated as misses and re-resolved
@@ -177,16 +177,20 @@ class RouteTable:
         """Longest-prefix match; raises :class:`NoRouteError` on miss.
 
         Cached: repeat lookups for the same destination are O(1) dict hits
-        until the table next mutates.
+        until the table next mutates.  Every call counts once in
+        ``cache_hits`` or ``cache_misses``; the datagram path resolves a
+        destination once per node (DESIGN §7), so their sum also counts
+        the datagrams this node routed.
         """
-        dst = Address(destination)
-        key = int(dst)
+        if type(destination) is not Address:
+            destination = Address(destination)
+        key = destination._value
         entry = self._cache.get(key)
         if entry is not None and entry[0] == self._generation:
             self.cache_hits += 1
             return entry[1]
         self.cache_misses += 1
-        route = self.lookup_uncached(dst)
+        route = self.lookup_uncached(destination)
         if len(self._cache) >= self.CACHE_MAX:
             self._cache.clear()
         self._cache[key] = (self._generation, route)
@@ -194,7 +198,7 @@ class RouteTable:
 
     def lookup_uncached(self, destination: Union[str, Address]) -> Route:
         """The reference longest-prefix scan (no destination cache)."""
-        dst = Address(destination)
+        dst = destination if type(destination) is Address else Address(destination)
         for length in self._lengths:
             probe = Prefix.of(dst, length)
             route = self._by_length[length].get(probe)

@@ -28,7 +28,7 @@ from .address import Address, Prefix
 from .forwarding import NoRouteError, Route, RouteTable
 from .fragmentation import FragmentationError, Reassembler, fragment
 from . import icmp
-from .packet import Datagram, PROTO_ICMP
+from .packet import Datagram, IP_HEADER_LEN, PROTO_ICMP
 
 __all__ = ["Node", "NodeStats", "ProtocolHandler"]
 
@@ -250,21 +250,26 @@ class Node:
         dont_fragment: bool = False,
         src: Optional[Address] = None,
         trace_label: Optional[str] = None,
+        route: Optional[Route] = None,
     ) -> bool:
         """Originate a datagram.  Returns False if it could not be sent
         (no route / node down) — the datagram service makes no promises.
 
         ``trace_label`` names control-plane traffic (routing updates, path
         probes) so its hop-span journeys are attributed in the obs layer
-        rather than showing up as anonymous UDP.
+        rather than showing up as anonymous UDP.  ``route`` and ``src``
+        are the caller's :meth:`route_and_source` answer for ``dst`` when
+        it already asked (UDP needs the source for its checksum): the
+        datagram then leaves by that route without a second resolution.
         """
         if not self.up:
             self.stats.dropped_down += 1
             return False
         dst_addr = dst if isinstance(dst, Address) else Address(dst)
-        src_addr = src if src is not None else self.source_for(dst_addr)
+        if src is None:
+            route, src = self.route_and_source(dst_addr)
         datagram = Datagram(
-            src=src_addr,
+            src=src,
             dst=dst_addr,
             protocol=protocol,
             payload=payload,
@@ -286,7 +291,7 @@ class Node:
                     "control_plane_origins", kind=trace_label).inc()
             obs.hop(self.sim.now, self.name, "origin", "originated", datagram,
                     detail)
-        return self._output(datagram, originating=True)
+        return self._output(datagram, originating=True, route=route)
 
     def send_datagram(self, datagram: Datagram) -> bool:
         """Originate a pre-built datagram (used by transports that manage
@@ -309,70 +314,85 @@ class Node:
                     f"len={datagram.total_length}")
         return self._output(datagram, originating=True)
 
-    def source_for(self, dst: Address) -> Address:
-        """Pick the source address for a destination: the address of the
-        outgoing interface (addresses reflect connectivity).  Transports
-        use this so every conversation is named by its attachment."""
+    def route_and_source(self, dst: Address) -> tuple[Optional[Route], Address]:
+        """One resolution of ``dst``: the route a datagram to it leaves by
+        (None without one) and the source address to put on it — the
+        outgoing interface's, since addresses reflect connectivity."""
         try:
             route = self.routes.lookup(dst)
-            return route.interface.address
         except NoRouteError:
-            return self.address
+            return None, self.address
+        return route, route.interface.address
+
+    def source_for(self, dst: Address) -> Address:
+        """Pick the source address for a destination (see
+        :meth:`route_and_source`).  Transports use this so every
+        conversation is named by its attachment."""
+        return self.route_and_source(dst)[1]
 
     # ------------------------------------------------------------------
     # The forwarding path
     # ------------------------------------------------------------------
-    def _output(self, datagram: Datagram, *, originating: bool) -> bool:
-        """Route, fragment and transmit one datagram."""
+    def _output(self, datagram: Datagram, *, originating: bool,
+                route: Optional[Route] = None) -> bool:
+        """Route, fragment and transmit one datagram.
+
+        ``route`` is the caller's resolution of ``datagram.dst`` when it
+        has one (the transit path and :meth:`send` do); the table is
+        consulted only without it, so a datagram costs one lookup.
+        """
         self.stats.work_units += 1
         obs = self.obs
         if obs is not None and not obs.enabled:
             obs = None
-        try:
-            route = self.routes.lookup(datagram.dst)
-        except NoRouteError:
-            self.stats.dropped_no_route += 1
-            self.tracer.log(self.sim.now, "ip", self.name, "no-route",
-                            str(datagram.dst))
-            if obs is not None:
-                obs.drop(self.sim.now, self.name, "drop-no-route", datagram,
-                         str(datagram.dst))
-            if not originating:
-                self._send_icmp(icmp.destination_unreachable(
-                    self.address, datagram, icmp.UNREACH_NET))
-            return False
+        if route is None:
+            try:
+                route = self.routes.lookup(datagram.dst)
+            except NoRouteError:
+                self.stats.dropped_no_route += 1
+                self.tracer.log(self.sim.now, "ip", self.name, "no-route",
+                                str(datagram.dst))
+                if obs is not None:
+                    obs.drop(self.sim.now, self.name, "drop-no-route",
+                             datagram, str(datagram.dst))
+                if not originating:
+                    self._send_icmp(icmp.destination_unreachable(
+                        self.address, datagram, icmp.UNREACH_NET))
+                return False
         iface = route.interface
-        if not iface.up:
+        medium = iface.medium
+        if medium is None or not medium.is_up():
             self.stats.dropped_down += 1
             if obs is not None:
                 obs.drop(self.sim.now, self.name, "drop-link-down", datagram,
                          iface.name)
             return False
         next_hop = route.next_hop
+        mtu = medium.mtu
+        if IP_HEADER_LEN + len(datagram.payload) <= mtu:
+            iface.output(datagram, next_hop)
+            return True
         try:
-            pieces = fragment(datagram, iface.mtu)
+            pieces = fragment(datagram, mtu)
         except FragmentationError:
             self.stats.dropped_df += 1
             if obs is not None:
                 obs.drop(self.sim.now, self.name, "drop-df", datagram,
-                         f"mtu={iface.mtu}")
+                         f"mtu={mtu}")
             if not originating:
                 self._send_icmp(icmp.destination_unreachable(
                     self.address, datagram, icmp.UNREACH_NEEDFRAG))
             return False
-        if len(pieces) > 1:
-            self.stats.fragments_created += len(pieces)
-            self.tracer.log(self.sim.now, "ip", self.name, "frag",
-                            f"{datagram.ident}->{len(pieces)}")
-            if obs is not None:
-                # Fragments inherit the parent's trace id via copy(), so
-                # the journey records the split and stays whole across it.
-                obs.hop(self.sim.now, self.name, "forward", "fragmented",
-                        datagram, f"{len(pieces)} pieces, mtu={iface.mtu}")
-            for piece in pieces:
-                iface.output(piece, next_hop)
-            return True
-        iface.output(datagram, next_hop)
+        self.stats.fragments_created += len(pieces)
+        self.tracer.log(self.sim.now, "ip", self.name, "frag",
+                        f"{datagram.ident}->{len(pieces)}")
+        if obs is not None:
+            # Fragments inherit the parent's trace id via copy(), so
+            # the journey records the split and stays whole across it.
+            obs.hop(self.sim.now, self.name, "forward", "fragmented",
+                    datagram, f"{len(pieces)} pieces, mtu={mtu}")
+        for piece in pieces:
+            iface.output(piece, next_hop)
         return True
 
     def datagram_arrived(self, datagram: Datagram, iface: Optional[Interface]) -> None:
@@ -386,8 +406,9 @@ class Node:
                 obs.drop(self.sim.now, self.name, "drop-node-down", datagram)
             return
         self.stats.work_units += 1
-        if self.owns_address(datagram.dst) or datagram.dst.is_broadcast or (
-            iface is not None and datagram.dst == iface.broadcast_address
+        dst = datagram.dst._value
+        if dst in self._owned_values or dst == 0xFFFFFFFF or (
+            iface is not None and dst == iface.broadcast_address._value
         ):
             self._deliver_local(datagram, iface)
             return
@@ -414,28 +435,34 @@ class Node:
                          f"{datagram.src}->{datagram.dst}")
             self._send_icmp(icmp.time_exceeded(self.address, datagram))
             return
-        if iface_in is not None and self.send_redirects:
-            self._maybe_redirect(datagram, iface_in)
-        forwarded = datagram.copy(ttl=datagram.ttl - 1)
+        # The hop's one route resolution: redirect advice and output
+        # both read it.  None leaves the no-route handling to _output.
+        try:
+            route = self.routes.lookup(datagram.dst)
+        except NoRouteError:
+            route = None
+        if (route is not None and route.interface is iface_in
+                and self.send_redirects):
+            self._maybe_redirect(datagram, iface_in, route)
+        # A copy, not the arrival itself: a LAN broadcast hands one object
+        # to every member, and hosts keep references.
+        forwarded = datagram.copy()
+        forwarded.ttl -= 1
         for inspector in self.forward_inspectors:
             inspector(forwarded)
-        if self._output(forwarded, originating=False):
+        if self._output(forwarded, originating=False, route=route):
             self.stats.forwarded += 1
-            self.stats.bytes_forwarded += forwarded.total_length
+            self.stats.bytes_forwarded += IP_HEADER_LEN + len(forwarded.payload)
             if obs is not None:
                 obs.hop(self.sim.now, self.name, "forward", "forwarded",
                         forwarded, f"ttl={forwarded.ttl}")
 
-    def _maybe_redirect(self, datagram: Datagram, iface_in: Interface) -> None:
-        """ICMP Redirect: the datagram will leave by the interface it came
-        in on, and its source lives on that network — tell it the better
-        first hop directly (rate-limited per source/destination pair)."""
-        try:
-            route = self.routes.lookup(datagram.dst)
-        except NoRouteError:
-            return
-        if route.interface is not iface_in:
-            return
+    def _maybe_redirect(self, datagram: Datagram, iface_in: Interface,
+                        route: Route) -> None:
+        """ICMP Redirect: the datagram will leave (by ``route``) through
+        the interface it came in on; if its source lives on that network,
+        tell it the better first hop directly (rate-limited per
+        source/destination pair)."""
         if not iface_in.prefix.contains(datagram.src):
             return
         better = route.next_hop if route.next_hop is not None else datagram.dst
@@ -444,7 +471,7 @@ class Node:
         key = (int(datagram.src), int(datagram.dst))
         if self.sim.now - self._redirects_sent_to.get(key, -1e9) < 5.0:
             return
-        self._redirects_sent_to[key] = self.sim.now
+        self._stamp(self._redirects_sent_to, key, self.sim.now, 5.0)
         self.tracer.log(self.sim.now, "icmp", self.name, "redirect",
                         f"{datagram.src}: {datagram.dst} via {better}")
         obs = self.obs
@@ -519,6 +546,19 @@ class Node:
                                 f"{quoted.dst} via {gateway}")
                 return
 
+    def _stamp(self, limiter: dict, key, entry, interval: float) -> None:
+        """Record ``entry`` (a send time, or a tuple starting with one) in a
+        rate-limiter table, keeping the table bounded under address-scanning
+        traffic: each time it fills another ``RouteTable.CACHE_MAX`` entries,
+        those whose interval has already run out are dropped.  Such an entry
+        can no longer suppress anything, so no limiter decision changes."""
+        limiter[key] = entry
+        if len(limiter) % RouteTable.CACHE_MAX == 0:
+            now = self.sim.now
+            for stale in [k for k, e in limiter.items() if now - (
+                    e[0] if type(e) is tuple else e) >= interval]:
+                del limiter[stale]
+
     def _send_icmp(self, datagram: Datagram) -> None:
         if self.icmp_error_interval > 0 and datagram.payload:
             # One error per (type, offended source) per interval.  The
@@ -542,14 +582,16 @@ class Node:
                 if used >= self.quench_budget:
                     self.quench_suppressed += 1
                     return
-                self._quench_windows[qkey] = (start, used + 1)
+                self._stamp(self._quench_windows, qkey, (start, used + 1),
+                            self.icmp_error_interval)
             elif icmp_type != icmp.REDIRECT:
                 key = (icmp_type, int(datagram.dst))
                 if (self.sim.now - self._icmp_errors_sent_to.get(key, -1e9)
                         < self.icmp_error_interval):
                     self.icmp_suppressed += 1
                     return
-                self._icmp_errors_sent_to[key] = self.sim.now
+                self._stamp(self._icmp_errors_sent_to, key, self.sim.now,
+                            self.icmp_error_interval)
         if datagram.ident == 0:
             datagram.ident = self.next_ident()  # see send_datagram
         self.stats.icmp_sent += 1

@@ -103,13 +103,14 @@ class Datagram:
         return self.more_fragments or self.fragment_offset > 0
 
     def copy(self, **changes) -> "Datagram":
-        """Return a modified copy (used by forwarding and fragmentation).
+        """Return a copy, with ``changes`` applied (fragmentation passes
+        them; the transit path copies bare and decrements ``ttl`` itself —
+        this is the hop's one datagram allocation).
 
         Hand-rolled instead of :func:`dataclasses.replace`: ``replace``
-        re-enters ``__init__`` through keyword dispatch, and this runs on
-        every forwarded hop and every fragment.  Direct slot assignment is
-        ~3x cheaper and behaves identically (an unknown field name raises,
-        via ``setattr`` on the slotted class).
+        re-enters ``__init__`` through keyword dispatch.  Direct slot
+        assignment is ~3x cheaper and behaves identically (an unknown
+        field name raises, via ``setattr`` on the slotted class).
         """
         new = object.__new__(Datagram)
         new.src = self.src
@@ -123,8 +124,9 @@ class Datagram:
         new.fragment_offset = self.fragment_offset
         new.tos = self.tos
         new.trace_id = self.trace_id
-        for name, value in changes.items():
-            setattr(new, name, value)
+        if changes:
+            for name, value in changes.items():
+                setattr(new, name, value)
         return new
 
     # ------------------------------------------------------------------

@@ -10,10 +10,11 @@ resolution is by direct lookup, standing in for ARP (see
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from ..ip.address import Address, Prefix
-from ..ip.packet import Datagram
+from ..ip.packet import Datagram, IP_HEADER_LEN
 from ..sim.engine import Simulator
 from .link import Interface, _obs_of
 from .loss import LossModel, NoLoss
@@ -56,6 +57,7 @@ class LanBus:
         self.loss = loss or NoLoss()
         self.rng = rng if rng is not None else random.Random(0)
         self.name = name
+        self._label = f"lan:{name}"  # arrival-event label, built once
         self._up = True
         self._interfaces: dict[int, Interface] = {}
         self._channel_busy_until = 0.0
@@ -104,13 +106,13 @@ class LanBus:
             iface.notify_queue_drop(datagram)
             return
         target = next_hop if next_hop is not None else datagram.dst
-        size = datagram.total_length + self.FRAME_OVERHEAD
-        tx_time = size * 8.0 / self.bandwidth_bps
+        length = IP_HEADER_LEN + len(datagram.payload)
+        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
         start = max(self.sim.now, self._channel_busy_until)
         self._channel_busy_until = start + tx_time
         self._queued += 1
         iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += datagram.total_length
+        iface.stats.bytes_sent += length
         iface.stats.link_header_bytes += self.FRAME_OVERHEAD
         arrival = start + tx_time + self.delay
         obs = _obs_of(iface)
@@ -120,11 +122,10 @@ class LanBus:
                          serialization=tx_time,
                          propagation=self.delay,
                          detail=self.name)
-        epoch = self._epoch
         self.sim.post_at(
             arrival,
-            lambda: self._arrive(iface, target, datagram, epoch),
-            label=f"lan:{self.name}",
+            partial(self._arrive, iface, target, datagram, self._epoch),
+            label=self._label,
         )
 
     def _arrive(self, sender: Interface, target: Address,

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from ..ip.address import Address, Prefix
-from ..ip.packet import Datagram, TOS_CE, TOS_ECT
+from ..ip.packet import Datagram, IP_HEADER_LEN, TOS_CE, TOS_ECT
 from ..sim.engine import Simulator
 from .loss import LossModel, NoLoss
 
@@ -87,10 +88,10 @@ class Interface:
         self.name = name
         self.address = address
         self.prefix = prefix
-        #: The prefix's directed-broadcast address, computed once.
+        #: The prefix's directed-broadcast address, computed once:
         #: ``Prefix.broadcast`` builds a fresh :class:`Address` per call,
-        #: which the per-arrival "is this for me?" check turned into the
-        #: hottest allocation after datagrams themselves.
+        #: and the node's per-arrival "is this for me?" check compares
+        #: against this one's integer value.
         self.broadcast_address = prefix.broadcast
         self.node: Optional["Node"] = None
         self.medium: Optional[Medium] = None
@@ -197,6 +198,9 @@ class PointToPointLink:
         # from RandomStreams so runs are reproducible and paired.
         self.rng = rng if rng is not None else random.Random(0)
         self.name = name or f"{a.name}<->{b.name}"
+        #: Event label of every arrival on this link (read by the tracer
+        #: and profiler only), built once rather than per packet.
+        self._label = f"link:{self.name}"
         self._up = True
         # Per-direction transmitter state: time the transmitter frees up.
         self._busy_until = {a: 0.0, b: 0.0}
@@ -274,17 +278,18 @@ class PointToPointLink:
         if self._queued[iface] >= self.queue_limit:
             iface.notify_queue_drop(datagram)
             return
-        size = datagram.total_length + self.FRAME_OVERHEAD
-        tx_time = size * 8.0 / self.bandwidth_bps
+        length = IP_HEADER_LEN + len(datagram.payload)
+        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
         start = max(self.sim.now, self._busy_until[iface])
         self._busy_until[iface] = start + tx_time
         self._queued[iface] += 1
         iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += datagram.total_length
+        iface.stats.bytes_sent += length
         iface.stats.link_header_bytes += self.FRAME_OVERHEAD
 
-        jitter = self.jitter_fn() if self.jitter_fn is not None else 0.0
-        arrival = start + tx_time + self.delay + max(0.0, jitter)
+        arrival = start + tx_time + self.delay
+        if self.jitter_fn is not None:
+            arrival += max(0.0, self.jitter_fn())
         obs = _obs_of(iface)
         if obs is not None and iface.node is not None:
             # Dwell breakdown: time waiting behind earlier frames, time on
@@ -294,14 +299,13 @@ class PointToPointLink:
                          serialization=tx_time,
                          propagation=arrival - start - tx_time,
                          detail=self.name)
-        remote = self.other_end(iface)
-        epoch = self._epoch
         # Fire-and-forget: packet arrivals are never cancelled, so they
-        # need no handle.
+        # need no handle (and a partial fires without a frame of its own).
         self.sim.post_at(
             arrival,
-            lambda: self._arrive(iface, remote, datagram, epoch),
-            label=f"link:{self.name}",
+            partial(self._arrive, iface, self.other_end(iface), datagram,
+                    self._epoch),
+            label=self._label,
         )
 
     def _arrive(self, sender: Interface, remote: Interface,

@@ -16,10 +16,11 @@ monotonic), as the X.25 virtual circuit guarantees.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from ..ip.address import Address
-from ..ip.packet import Datagram
+from ..ip.packet import Datagram, IP_HEADER_LEN
 from ..sim.engine import Simulator
 from .link import Interface, PointToPointLink, _obs_of
 from .loss import NoLoss
@@ -61,6 +62,7 @@ class X25Subnet(PointToPointLink):
             rng=rng,
             name=name or f"x25:{a.name}<->{b.name}",
         )
+        self._label = f"x25:{self.name}"
         # Last scheduled arrival per direction, to force in-order delivery.
         self._last_arrival = {a: 0.0, b: 0.0}
 
@@ -76,13 +78,13 @@ class X25Subnet(PointToPointLink):
         if self._queued[iface] >= self.queue_limit:
             iface.notify_queue_drop(datagram)
             return
-        size = datagram.total_length + self.FRAME_OVERHEAD
-        tx_time = size * 8.0 / self.bandwidth_bps
+        length = IP_HEADER_LEN + len(datagram.payload)
+        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
         start = max(self.sim.now, self._busy_until[iface])
         self._busy_until[iface] = start + tx_time
         self._queued[iface] += 1
         iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += datagram.total_length
+        iface.stats.bytes_sent += length
         iface.stats.link_header_bytes += self.FRAME_OVERHEAD
 
         extra = 0.0
@@ -103,10 +105,9 @@ class X25Subnet(PointToPointLink):
                          serialization=tx_time,
                          propagation=arrival - start - tx_time,
                          detail=self.name)
-        remote = self.other_end(iface)
-        epoch = self._epoch
         self.sim.post_at(
             arrival,
-            lambda: self._arrive(iface, remote, datagram, epoch),
-            label=f"x25:{self.name}",
+            partial(self._arrive, iface, self.other_end(iface), datagram,
+                    self._epoch),
+            label=self._label,
         )

@@ -51,7 +51,7 @@ class UdpChecksumError(UdpError):
 
 
 def _pseudo_header(src: Address, dst: Address, length: int) -> bytes:
-    return src.to_bytes() + dst.to_bytes() + struct.pack("!BBH", 0, PROTO_UDP, length)
+    return struct.pack("!IIBBH", int(src), int(dst), 0, PROTO_UDP, length)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,9 @@ class UdpSocket:
         if self.closed:
             raise UdpError("socket is closed")
         self.sent += 1
-        return self._stack.send(self.port, Address(dst), dst_port, payload,
+        if type(dst) is not Address:
+            dst = Address(dst)
+        return self._stack.send(self.port, dst, dst_port, payload,
                                 ttl=ttl, tos=tos, trace_label=trace_label)
 
     def close(self) -> None:
@@ -193,7 +195,9 @@ class UdpStack:
     def send(self, src_port: int, dst: Address, dst_port: int, payload: bytes,
              *, ttl: int = 32, tos: int = 0,
              trace_label: Optional[str] = None) -> bool:
-        src = self.node.source_for(dst)
+        # One resolution; the checksum below needs the source address and
+        # Node.send the way out (it would otherwise resolve dst again).
+        route, src = self.node.route_and_source(dst)
         obs = self.node.obs
         if obs is not None and obs.enabled:
             obs.registry.counter("udp_segments", node=self.node.name,
@@ -201,7 +205,7 @@ class UdpStack:
         segment = encode(src, dst, src_port, dst_port, payload,
                          with_checksum=self.checksums)
         return self.node.send(dst, PROTO_UDP, segment, ttl=ttl, tos=tos,
-                              src=src, trace_label=trace_label)
+                              src=src, trace_label=trace_label, route=route)
 
     def _input(self, node: Node, datagram: Datagram,
                iface: Optional[Interface]) -> None:

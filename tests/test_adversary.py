@@ -95,6 +95,41 @@ def test_misroute_lands_on_the_decoy_as_checksum_failures():
     assert got == expected  # retransmission repaired every theft
 
 
+def test_misroute_ignores_preresolved_route():
+    """The transit path hands ``_output`` the route it resolved for the
+    *honest* destination.  Here the decoy hangs off GB itself, the other way
+    from H2, so carrying that route through the rewrite would put every
+    stolen datagram on the G2 trunk instead of the decoy's link."""
+    net = Internet(seed=7)
+    h1, h2, decoy = net.host("H1"), net.host("H2"), net.host("D")
+    g1, gb, g2 = net.gateway("G1"), net.gateway("GB"), net.gateway("G2")
+    for a, b in [(h1, g1), (g1, gb), (gb, g2), (g2, h2), (gb, decoy)]:
+        net.connect(a, b, delay=0.005)
+    net.start_routing(period=1.0)
+    net.converge(settle=5.0)
+    sink = h2.udp.bind(7000)
+    sock = h1.udp.bind(0)
+    gb_node, g2_node = net.node_by_name("GB"), net.node_by_name("G2")
+    transit, trunk = gb_node.stats.forwarded, g2_node.stats.forwarded
+
+    fault = ByzantineGateway("GB", 0.0, 5.0, behavior="misroute",
+                             rate=0.5, decoy="D")
+    fault.apply(net)
+    for _ in range(60):
+        sock.sendto(b"m" * 64, h2.address, 7000)
+    net.sim.run(until=net.sim.now + 2.0)
+    fault.clear(net)
+
+    assert fault.perturbed > 0 and fault.passed_through > 0
+    assert fault.perturbed + fault.passed_through == 60
+    assert gb_node.stats.forwarded - transit == 60
+    # Every stolen datagram reached the decoy (as a checksum failure: the
+    # pseudo-header still names H2) and none of them ever touched G2.
+    assert decoy.udp.checksum_failures == fault.perturbed
+    assert g2_node.stats.forwarded - trunk == fault.passed_through
+    assert sink.received == fault.passed_through
+
+
 def test_delay_past_rto_leaves_a_timeout_signature():
     net, fault, client, h2, decoy, got, expected = run_behavior(
         "delay", rate=0.5, delay_by=3.5)

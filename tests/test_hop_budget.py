@@ -1,0 +1,164 @@
+"""The per-hop budget (DESIGN §7) as a noise-free gate.
+
+A forwarded datagram gets one route resolution, one length computation, one
+datagram allocation, one event push and integer address compares.  Wall time
+cannot be gated on a shared runner; lookups and Python calls can, because on
+a fixed scenario they repeat exactly.  The behaviour tests below pin what the
+single-resolution transit path could silently lose: the no-route branch, the
+redirect advice, the link-down drop and the MTU boundary.
+"""
+
+import cProfile
+import pstats
+
+from repro.ip import icmp
+from repro.ip.address import Address, Prefix
+from repro.ip.node import Node
+from repro.ip.packet import IP_HEADER_LEN, PROTO_UDP
+from repro.netlayer.link import Interface, PointToPointLink
+from repro.routing.static import add_default_route, add_static_route
+from repro.sim.engine import Simulator
+from repro.udp.udp import UDP_HEADER_LEN, UdpStack
+from test_ip_redirect import two_gateway_lan  # noqa: F401  (fixture)
+
+DATAGRAMS = 200
+SINK = Address("10.0.3.2")
+
+
+def line(*, core_mtu=1500):
+    """H1 — G1 — G2 — H2: static routes, lossless, nothing else talking."""
+    sim = Simulator()
+    h1, h2 = Node("H1", sim), Node("H2", sim)
+    g1, g2 = Node("G1", sim, is_gateway=True), Node("G2", sim, is_gateway=True)
+    links = []
+    for index, (a, b, mtu) in enumerate(
+            [(h1, g1, 1500), (g1, g2, core_mtu), (g2, h2, 1500)], start=1):
+        prefix = Prefix.parse(f"10.0.{index}.0/24")
+        ia = a.add_interface(Interface(f"{a.name}.{index}", prefix.host(1), prefix))
+        ib = b.add_interface(Interface(f"{b.name}.{index}", prefix.host(2), prefix))
+        links.append(PointToPointLink(sim, ia, ib, bandwidth_bps=10_000_000,
+                                      delay=0.001, mtu=mtu))
+    add_default_route(h1, "10.0.1.2")
+    add_default_route(h2, "10.0.3.1")
+    add_static_route(g1, "10.0.3.0/24", "10.0.2.2")
+    add_static_route(g2, "10.0.1.0/24", "10.0.2.1")
+    return sim, h1, g1, g2, h2, links
+
+
+def lookups(node):
+    return node.routes.cache_hits + node.routes.cache_misses
+
+
+def udp_pair(h1, h2):
+    """A sending socket on H1 and the list H2's port 7000 collects into."""
+    got = []
+    UdpStack(h2).bind(7000, lambda payload, src, port: got.append(payload))
+    return UdpStack(h1).bind(0), got
+
+
+def send_burst(sim, h1, h2):
+    """DATAGRAMS UDP datagrams H1 → H2, one per millisecond; returns the sink."""
+    sock, got = udp_pair(h1, h2)
+    for i in range(DATAGRAMS):
+        sim.post(0.001 * i, lambda: sock.sendto(b"x" * 256, SINK, 7000))
+    return got
+
+
+# ----------------------------------------------------------------------
+# The budget
+# ----------------------------------------------------------------------
+def test_one_route_resolution_per_datagram_per_node():
+    sim, h1, g1, g2, h2, _ = line()
+    got = send_burst(sim, h1, h2)
+    before = [lookups(n) for n in (h1, g1, g2)]
+    sim.run(until=1.0)
+    assert len(got) == DATAGRAMS
+    assert g1.stats.forwarded == g2.stats.forwarded == DATAGRAMS
+    # Origin: sendto resolves once for source address *and* output route.
+    # Transit: redirect advice and output share the hop's one resolution.
+    assert [lookups(n) - b for n, b in zip((h1, g1, g2), before)] \
+        == [DATAGRAMS] * 3
+
+
+def test_python_calls_per_hop_under_ceiling():
+    """cProfile count of Python-level calls into ``repro.ip`` and
+    ``repro.netlayer`` per hop (a forward or a delivery; origination and
+    delivery work is in the count).  Measured after the diet: 11,230 calls
+    / 600 hops = 18.72 (21,844 = 36.41 before it); the ceiling sits 10 %
+    above.  The count repeats exactly, so this cannot flake — it fails
+    only when someone adds per-packet calls."""
+    sim, h1, g1, g2, h2, _ = line()
+    got = send_burst(sim, h1, h2)
+    profile = cProfile.Profile()
+    profile.enable()
+    sim.run(until=1.0)
+    profile.disable()
+    assert len(got) == DATAGRAMS
+    hops = sum(n.stats.forwarded + n.stats.delivered for n in (h1, g1, g2, h2))
+    assert hops == 3 * DATAGRAMS
+    calls = sum(
+        ncalls for (filename, _, _), (_, ncalls, *_)
+        in pstats.Stats(profile).stats.items()
+        if "/repro/ip/" in filename or "/repro/netlayer/" in filename)
+    assert calls / hops <= 20.59, f"{calls} calls / {hops} hops"
+
+
+# ----------------------------------------------------------------------
+# Behaviour the single resolution must not lose
+# ----------------------------------------------------------------------
+def test_transit_no_route_drops_once_and_advises_once():
+    sim, h1, g1, g2, h2, _ = line()
+    errors = []
+    h1.add_icmp_error_listener(lambda n, m, d: errors.append(m))
+    h1.send("203.0.113.5", PROTO_UDP, b"nowhere")
+    sim.run(until=1.0)
+    assert g1.stats.dropped_no_route == 1
+    assert g1.stats.forwarded == 0 and g1.stats.bytes_forwarded == 0
+    assert [(m.type, m.code) for m in errors] \
+        == [(icmp.DEST_UNREACHABLE, icmp.UNREACH_NET)]
+
+
+def test_no_redirects_means_no_advice_and_still_one_lookup(two_gateway_lan):
+    sim, h, g1, g2, f, bus = two_gateway_lan
+    g1.send_redirects = False
+    f.register_protocol(PROTO_UDP, lambda n, d, i: None)
+    before = lookups(g1)
+    h.send("10.0.8.2", PROTO_UDP, b"dog-leg")
+    sim.run(until=1.0)
+    assert g1.stats.forwarded == 1
+    assert g1.stats.icmp_sent == 0
+    assert lookups(g1) - before == 1
+
+
+def test_link_lowered_after_the_lookup_still_drops():
+    # Inspectors run between the hop's route resolution and _output, so
+    # this is "the link went down while the gateway held a resolved route".
+    sim, h1, g1, g2, h2, links = line()
+    g1.forward_inspectors.append(lambda datagram: links[1].set_up(False))
+    h1.send("10.0.3.2", PROTO_UDP, b"too late")
+    sim.run(until=1.0)
+    assert g1.stats.dropped_down == 1
+    assert g1.stats.forwarded == 0
+    assert g2.stats.forwarded == 0
+
+
+def test_fragmentation_boundary_is_exact():
+    core_mtu = 596
+    fits = b"f" * (core_mtu - IP_HEADER_LEN - UDP_HEADER_LEN)
+    for payload, pieces in [(fits, 0), (fits + b"!", 2)]:
+        sim, h1, g1, g2, h2, _ = line(core_mtu=core_mtu)
+        sock, got = udp_pair(h1, h2)
+        sock.sendto(payload, SINK, 7000)
+        sim.run(until=1.0)
+        assert got == [payload]
+        assert g1.stats.fragments_created == pieces
+        assert g1.stats.forwarded == 1
+
+
+def test_address_equality_branches_keep_their_answers():
+    a = Address("10.0.0.1")
+    assert a == Address("10.0.0.1") and a != Address("10.0.0.2")
+    assert a == "10.0.0.1" and a != "10.0.0.2"
+    assert a == 167772161 and a != 167772162
+    assert a != object() and a != "not an address"
+    assert a.__eq__(object()) is NotImplemented

@@ -245,3 +245,42 @@ def test_icmp_rate_limit_window_expires(two_hosts_one_gateway):
     sim.run(until=gw.icmp_error_interval + 1.2)
     assert len(errors) == 2                  # first and third; second muted
     assert gw.icmp_suppressed == 1
+
+
+def test_limiter_tables_stay_bounded_under_address_scan(two_hosts_one_gateway):
+    """Bounded state: 20k distinct spoofed peers at 1000/s must not leave
+    20k entries in the redirect, ICMP-error and quench limiters — and a
+    prune may only forget peers whose interval is already over."""
+    sim, h1, gw, h2 = two_hosts_one_gateway
+    arrival = gw.interfaces[0]
+    add_default_route(gw, "10.0.1.1")       # unknown dsts dog-leg back out
+    on_link, real_dst = Address("10.0.1.7"), Address("10.0.2.2")
+
+    def expired_from(source):               # -> Time Exceeded, keyed by source
+        gw.datagram_arrived(
+            Datagram(source, real_dst, PROTO_UDP, b"x", ttl=1), arrival)
+
+    prunes = 0
+    for i in range(20_000):
+        sim.run(until=i * 0.001)
+        spoofed = Address(0xAC100000 + i)
+        size = len(gw._icmp_errors_sent_to)
+        expired_from(spoofed)
+        if len(gw._icmp_errors_sent_to) < size:
+            # The peer of 1 ms ago is inside its interval: still muted.
+            prunes += 1
+            muted = gw.icmp_suppressed
+            expired_from(Address(0xAC100000 + i - 1))
+            assert gw.icmp_suppressed == muted + 1
+        # A dog-leg to a fresh destination -> Redirect, keyed by the pair.
+        gw.datagram_arrived(Datagram(on_link, spoofed, PROTO_UDP, b"x"), arrival)
+        # Congestion advice for a fresh source -> its own quench window.
+        gw._send_icmp(icmp.source_quench(
+            gw.address, Datagram(spoofed, real_dst, PROTO_UDP, b"x")))
+    assert prunes >= 2
+    bound = type(gw.routes).CACHE_MAX
+    live_1s, live_5s = 1_000, 5_000         # peers per limiter interval
+    assert len(gw._icmp_errors_sent_to) <= bound + live_1s
+    assert len(gw._quench_windows) <= bound + live_1s
+    assert len(gw._redirects_sent_to) <= bound + live_5s
+    assert gw.icmp_suppressed == prunes     # nobody else was ever muted
