@@ -20,7 +20,7 @@ Entry point: ``python -m repro.chaos --campaign adversary``.
 """
 
 from .fuzzers import FuzzLog, MgmtFuzzer, SessionFuzzer, TcpFuzzer
-from .campaign import AdversaryReport, run_adversary_campaign
+from .campaign import run_adversary_campaign
 
 __all__ = ["FuzzLog", "TcpFuzzer", "SessionFuzzer", "MgmtFuzzer",
-           "AdversaryReport", "run_adversary_campaign"]
+           "run_adversary_campaign"]

@@ -1,7 +1,9 @@
 """The adversarial campaign: fuzz legs, byzantine gateway, canary rollout.
 
 ``run_adversary_campaign(seed)`` runs three independent experiments and
-folds them into one :class:`AdversaryReport`:
+folds them into one :class:`~repro.chaos.report.RaceReport` (the
+byzantine campaign is its one leg; fuzz logs, per-behavior detection and
+rollout timelines are the scorecard):
 
 1. **Fuzz legs** — three small topologies, one per protocol family
    (TCP, session resume, network management), each hammered by its
@@ -28,13 +30,14 @@ import struct
 from ..chaos.campaign import FaultCampaign
 from ..chaos.faults import ByzantineGateway
 from ..chaos.monitors import InvariantMonitor, default_monitors
+from ..chaos.report import RaceReport
 from ..harness.presets import build_as_chain
+from ..harness.tables import Table
 from ..harness.topology import Internet
-from ..metrics.export import canonical_json, write_json
 from ..mgmt.policy import deny_prefixes
 from ..netmgmt.agent import MgmtAgent
 from ..netmgmt.alarms import RateRule
-from ..netmgmt.campaign import ManagementPlane
+from ..netmgmt.campaign import ManagementPlane, format_mttd
 from ..netmgmt.collector import Collector
 from ..rollout import CanaryRollout, RolloutStage
 from ..session.listener import SessionListener
@@ -43,7 +46,7 @@ from ..tcp.connection import TcpConfig
 from ..tcp.state import TcpState
 from .fuzzers import MgmtFuzzer, SessionFuzzer, TcpFuzzer
 
-__all__ = ["AdversaryReport", "run_adversary_campaign",
+__all__ = ["run_adversary_campaign", "gates", "verdict",
            "DeliveryIntegrityMonitor"]
 
 
@@ -611,120 +614,28 @@ def _run_rollout_egp(seed: int) -> dict:
 # ----------------------------------------------------------------------
 # The combined report
 # ----------------------------------------------------------------------
-class AdversaryReport:
-    """One artifact for the whole adversarial campaign.
-
-    Duck-types the slice of :class:`~repro.chaos.report.CampaignReport`
-    the CLI gate uses (``ok`` / ``violation_count`` /
-    ``all_reconverged`` / ``faults`` / ``counters`` / ``print`` /
-    ``write``); serialization is canonical, so same seed ⇒ same bytes.
-    """
-
-    def __init__(self, name: str, seed: int, legs: dict,
-                 byzantine: dict, rollouts: dict):
-        self.name = name
-        self.seed = seed
-        self.legs = legs
-        self.byz_report = byzantine["report"]
-        self.behavior_detection = byzantine["behavior_detection"]
-        self.rollouts = rollouts
-        self.counters = {
-            "legs": {k: v["counters"] for k, v in legs.items()},
-            "byzantine": self.byz_report.counters,
-        }
-
-    # -- gates ----------------------------------------------------------
-    @property
-    def legs_ok(self) -> bool:
-        return all(leg["ok"] for leg in self.legs.values())
-
-    @property
-    def all_behaviors_detected(self) -> bool:
-        return all(r["detected"] for r in self.behavior_detection)
-
-    @property
-    def rollout_ok(self) -> bool:
-        good = self.rollouts["tcp_good"]
-        broken = self.rollouts["tcp_broken"]
-        egp = self.rollouts["egp_broken"]
-        return (
-            good["state"] == "settled"
-            and good["promoted_at"] is not None
-            and good["rolled_back_at"] is None
-            and all(r["rolled_back_at"] is not None
-                    and r["promoted_at"] is None
-                    and r["state"] == "healthy"
-                    and r["mttr"] is not None
-                    for r in (broken, egp))
-        )
-
-    @property
-    def ok(self) -> bool:
-        """Invariant gate: no fuzz-leg violation, no monitor violation.
-        Detection latency and rollout discipline are the CLI's
-        campaign-specific gates (``gate_adversary``), mirroring how the
-        flows race splits ok-ness from race verdicts."""
-        return self.legs_ok and self.byz_report.ok
-
-    @property
-    def violation_count(self) -> int:
-        return (sum(len(leg["violations"]) for leg in self.legs.values())
-                + self.byz_report.violation_count)
-
-    @property
-    def all_reconverged(self) -> bool:
-        return self.byz_report.all_reconverged
-
-    @property
-    def faults(self) -> list:
-        return self.byz_report.faults
-
-    # -- serialization --------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "campaign": self.name,
-            "seed": self.seed,
-            "ok": self.ok,
-            "legs": self.legs,
-            "byzantine": {
-                "report": self.byz_report.to_dict(),
-                "behavior_detection": self.behavior_detection,
-            },
-            "rollouts": self.rollouts,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write(self, path):
-        return write_json(path, self.to_dict())
-
-    def print(self) -> None:
-        print(f"=== adversary campaign (seed {self.seed}) ===")
-        for name, leg in sorted(self.legs.items()):
-            status = "ok" if leg["ok"] else "FAIL"
-            print(f"  fuzz[{name}]: {status}  injected={leg['injected']}"
-                  f"  violations={len(leg['violations'])}")
-            for violation in leg["violations"]:
-                print(f"    ! {violation}")
-        print("  byzantine gateway:")
-        for record in self.behavior_detection:
-            if record["detected"]:
-                print(f"    {record['behavior']:>9}: detected, "
-                      f"mttd={record['mttd']:.2f}s "
-                      f"(perturbed {record['perturbed']} datagrams)")
-            else:
-                print(f"    {record['behavior']:>9}: NOT DETECTED")
-        for name in ("tcp_good", "tcp_broken", "egp_broken"):
-            r = self.rollouts[name]
-            extra = ""
-            if r["mttr"] is not None:
-                extra = f"  mttr={r['mttr']:.2f}s"
-            print(f"  rollout[{name}]: {r['state']}{extra}")
+def tables(report: RaceReport) -> list[Table]:
+    card = report.scorecard
+    fuzz = Table(f"'{report.name}': fuzz legs",
+                 ["leg", "status", "injected", "violations"])
+    for name, leg in sorted(card["fuzz"].items()):
+        fuzz.add(name, "ok" if leg["ok"] else "FAIL", leg["injected"],
+                 "; ".join(leg["violations"]) or "-")
+    byzantine = Table("byzantine gateway: detection from golden signals",
+                      ["behavior", "detected", "MTTD", "perturbed datagrams"])
+    for record in card["behavior_detection"]:
+        byzantine.add(record["behavior"],
+                      "yes" if record["detected"] else "NOT DETECTED",
+                      format_mttd(record["mttd"]), record["perturbed"])
+    rollouts = Table("canary rollouts", ["rollout", "state", "MTTR"])
+    for name, r in card["rollouts"].items():
+        rollouts.add(name, r["state"],
+                     "-" if r["mttr"] is None else f"{r['mttr']:.2f}s")
+    return [fuzz, byzantine, rollouts]
 
 
-def run_adversary_campaign(seed: int = 0) -> AdversaryReport:
-    legs = {
+def run_adversary_campaign(seed: int = 0) -> RaceReport:
+    fuzz = {
         "tcp": _run_tcp_leg(seed),
         "session": _run_session_leg(seed),
         "netmgmt": _run_mgmt_leg(seed),
@@ -735,4 +646,52 @@ def run_adversary_campaign(seed: int = 0) -> AdversaryReport:
         "tcp_broken": _run_rollout_tcp(seed, broken=True),
         "egp_broken": _run_rollout_egp(seed),
     }
-    return AdversaryReport("adversary", seed, legs, byzantine, rollouts)
+    scorecard = {"fuzz": fuzz,
+                 "behavior_detection": byzantine["behavior_detection"],
+                 "rollouts": rollouts}
+    return RaceReport(f"adversary[seed={seed}]",
+                      {"byzantine": byzantine["report"]}, scorecard, tables)
+
+
+def gates(report: RaceReport, size: str) -> list[str]:
+    """The verdicts beyond the byzantine leg's ok/reconverged: no fuzz
+    contract broken, every lie detected, the benign config promoted and
+    no broken config ever reached the fleet."""
+    card = report.scorecard
+    failures = []
+    for name, leg in sorted(card["fuzz"].items()):
+        for violation in leg["violations"]:
+            failures.append(f"fuzz[{name}]: {violation}")
+    for record in card["behavior_detection"]:
+        if not record["detected"]:
+            failures.append(
+                f"byzantine '{record['behavior']}' never detected by the "
+                f"management plane (signatures {record['signatures']})")
+    good = card["rollouts"]["tcp_good"]
+    if good["state"] != "settled" or good["rolled_back_at"] is not None:
+        failures.append(f"benign canary config did not promote cleanly "
+                        f"(state {good['state']})")
+    for name in ("tcp_broken", "egp_broken"):
+        r = card["rollouts"][name]
+        if r["promoted_at"] is not None:
+            failures.append(f"rollout[{name}]: broken config reached the "
+                            f"fleet (promoted before rollback)")
+        if r["rolled_back_at"] is None:
+            failures.append(f"rollout[{name}]: broken config never rolled "
+                            f"back (state {r['state']})")
+        elif r["mttr"] is None:
+            failures.append(f"rollout[{name}]: rolled back but never "
+                            f"verified healthy (state {r['state']})")
+    return failures
+
+
+def verdict(report: RaceReport) -> str:
+    card = report.scorecard
+    injected = sum(leg["injected"] for leg in card["fuzz"].values())
+    mttds = " ".join(f"{r['behavior']}={r['mttd']:.1f}s"
+                     for r in card["behavior_detection"])
+    rollouts = card["rollouts"]
+    return (f"{injected} adversarial exchanges absorbed, byzantine MTTD "
+            f"{mttds}, canary MTTR tcp={rollouts['tcp_broken']['mttr']:.1f}s "
+            f"egp={rollouts['egp_broken']['mttr']:.1f}s, "
+            f"fleet never saw a broken config")

@@ -13,8 +13,15 @@ This package provides the systematic machinery:
   survival under partition);
 * :mod:`~repro.chaos.random_chaos` — seeded Poisson fault generation, so a
   run that finds a violation replays exactly from its seed;
-* :mod:`~repro.chaos.report` — the canonical-JSON campaign report CI
-  archives and later PRs regress against.
+* :mod:`~repro.chaos.report` — the two canonical-JSON report shapes CI
+  archives and later PRs regress against: :class:`CampaignReport` (one
+  leg) and :class:`RaceReport` (named legs plus a scorecard);
+* :mod:`~repro.chaos.campaigns` — the registry: every campaign as
+  ``run`` / ``gates`` / ``verdict`` / default output name, and the one
+  ``run_and_gate`` driver behind ``python -m repro.chaos --campaign NAME``.
+  It imports every campaign module (and through them ``ecology``,
+  ``adversary``, ``netmgmt``, which import this package), so it is a
+  submodule to import by name, not a re-export.
 
 Run ``python -m repro.chaos`` for the randomized smoke campaign.
 """
@@ -34,7 +41,7 @@ from .monitors import (
     default_monitors,
 )
 from .random_chaos import RandomChaos
-from .report import CampaignReport
+from .report import CampaignReport, RaceReport
 from .restart import (
     RestartScenario,
     build_restart_scenario,
@@ -45,6 +52,8 @@ from .restart import (
 __all__ = [
     "FaultCampaign",
     "CampaignReport",
+    "RaceReport",
+    "campaigns",
     "Fault",
     "LinkFlap",
     "GatewayCrash",

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 from ..accounting import HarmAccountant  # noqa: F401  (re-export context)
 from ..ecology import EcologyConfig, EcologyNet, MisbehavingHosts, build_ecology
+from ..harness.scaletopo import SMALL_RING
 from ..harness.tables import Table
-from ..metrics.export import canonical_json, write_json
 from ..netmgmt.alarms import RateRule
 from ..netmgmt.campaign import ManagementPlane
 from .campaign import FaultCampaign
 from .monitors import ReconvergenceMonitor, TtlExhaustionMonitor
+from .report import RaceReport
 
-__all__ = ["run_collapse_campaign", "CollapseReport",
+__all__ = ["run_collapse_campaign", "gates", "verdict",
            "TRAFFIC_START", "STORM_AT", "STORM_DURATION", "MEASURE_WINDOW"]
 
 #: The shared timeline (seconds of simulation).
@@ -205,8 +206,7 @@ def _leg_config(seed: int, defense: str, *, mixed: bool,
     kwargs: dict = {}
     if size == "small":
         # The determinism-test scale: same shape, minutes cheaper.
-        kwargs = dict(n_as=4, gateways_per_as=4, hosts_per_lan=2,
-                      flows_per_as=2, voice=True)
+        kwargs = dict(SMALL_RING, flows_per_as=2, voice=True)
     return EcologyConfig(
         seed=seed, defense=defense,
         broken_ases=(1, 5) if mixed and size == "full" else
@@ -256,107 +256,121 @@ def _run_leg(seed: int, defense: str, *, mixed: bool, managed: bool,
     return report, entry
 
 
-class CollapseReport:
-    """Duck-types :class:`CampaignReport` across the four-leg race."""
-
-    LEGS = ("baseline", "fifo", "red", "red_drr")
-
-    def __init__(self, name: str, legs: dict, race: dict):
-        self.name = name
-        self.legs = legs            # leg name -> CampaignReport
-        self.race = race            # leg name -> scorecard entry
-
-    # -- CampaignReport surface ----------------------------------------
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.legs.values())
-
-    @property
-    def violation_count(self) -> int:
-        return sum(r.violation_count for r in self.legs.values())
-
-    @property
-    def all_reconverged(self) -> bool:
-        return all(r.all_reconverged for r in self.legs.values())
-
-    @property
-    def faults(self) -> list:
-        out = []
-        for name in self.LEGS:
-            out.extend(self.legs[name].faults)
-        return out
-
-    @property
-    def counters(self) -> dict:
-        return {name: self.legs[name].counters for name in self.LEGS}
-
-    def to_dict(self) -> dict:
-        return {
-            "campaign": self.name,
-            "legs": {name: self.legs[name].to_dict() for name in self.LEGS},
-            "race": {name: self.race[name] for name in self.LEGS},
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write(self, path):
-        return write_json(path, self.to_dict())
-
-    # -- rendering ------------------------------------------------------
-    def race_table(self) -> Table:
-        baseline = self.race["baseline"]["goodput_bps"]["aggregate"]
-        table = Table(
-            f"collapse race '{self.name}': defenses under the mixed ecology",
-            ["leg", "goodput (kb/s)", "vs baseline", "conforming/flow",
-             "busy", "voice on-time", "dup bytes (misbehaving share)"],
-            note=f"measurement window {MEASURE_WINDOW[0]:.0f}-"
-                 f"{MEASURE_WINDOW[1]:.0f} s; storm "
-                 f"{STORM_AT:.0f}-{STORM_AT + STORM_DURATION:.0f} s",
+def race_table(report: RaceReport) -> Table:
+    card = report.scorecard
+    baseline = card["baseline"]["goodput_bps"]["aggregate"]
+    table = Table(
+        f"collapse race '{report.name}': defenses under the mixed ecology",
+        ["leg", "goodput (kb/s)", "vs baseline", "conforming/flow",
+         "busy", "voice on-time", "dup bytes (misbehaving share)"],
+        note=f"measurement window {MEASURE_WINDOW[0]:.0f}-"
+             f"{MEASURE_WINDOW[1]:.0f} s; storm "
+             f"{STORM_AT:.0f}-{STORM_AT + STORM_DURATION:.0f} s",
+    )
+    for name, entry in card.items():
+        goodput = entry["goodput_bps"]["aggregate"]
+        harm = entry["harm"]
+        table.add(
+            name,
+            f"{goodput / 1000:.1f}",
+            f"{100.0 * goodput / baseline:.1f}%" if baseline else "-",
+            f"{entry['goodput_bps']['conforming_per_flow_mean'] / 1000:.1f} kb/s",
+            f"{100.0 * entry['bottleneck_busy']['mean']:.1f}%",
+            f"{entry['voice']['on_time_pct']:.1f}%",
+            f"{harm['duplicate_bytes_total'] // 1000} kB "
+            f"({100.0 * harm['misbehaving_duplicate_fraction']:.0f}%)",
         )
-        for name in self.LEGS:
-            entry = self.race[name]
-            goodput = entry["goodput_bps"]["aggregate"]
-            harm = entry["harm"]
-            table.add(
-                name,
-                f"{goodput / 1000:.1f}",
-                f"{100.0 * goodput / baseline:.1f}%" if baseline else "-",
-                f"{entry['goodput_bps']['conforming_per_flow_mean'] / 1000:.1f} kb/s",
-                f"{100.0 * entry['bottleneck_busy']['mean']:.1f}%",
-                f"{entry['voice']['on_time_pct']:.1f}%",
-                f"{harm['duplicate_bytes_total'] // 1000} kB "
-                f"({100.0 * harm['misbehaving_duplicate_fraction']:.0f}%)",
-            )
-        return table
-
-    def render(self) -> str:
-        parts = [self.race_table().render()]
-        for name in self.LEGS:
-            leg = self.legs[name]
-            if leg.violation_count:
-                parts.append(leg.violation_table().render())
-        return "\n\n".join(parts)
-
-    def print(self) -> None:
-        print()
-        print(self.render())
-
-    def __repr__(self) -> str:
-        return (f"<CollapseReport '{self.name}' legs={len(self.legs)} "
-                f"violations={self.violation_count}>")
+    return table
 
 
-def run_collapse_campaign(seed: int, *, size: str = "full") -> CollapseReport:
+def tables(report: RaceReport) -> list[Table]:
+    return [race_table(report)]
+
+
+def run_collapse_campaign(seed: int, *, size: str = "full") -> RaceReport:
     """Race FIFO vs RED vs RED+DRR under one seeded storm."""
     legs: dict = {}
-    race: dict = {}
-    legs["baseline"], race["baseline"] = _run_leg(
-        seed, "fifo", mixed=False, managed=False, size=size)
-    legs["fifo"], race["fifo"] = _run_leg(
-        seed, "fifo", mixed=True, managed=True, size=size)
-    legs["red"], race["red"] = _run_leg(
-        seed, "red", mixed=True, managed=False, size=size)
-    legs["red_drr"], race["red_drr"] = _run_leg(
-        seed, "red_drr", mixed=True, managed=False, size=size)
-    return CollapseReport(f"collapse[seed={seed}]", legs, race)
+    scorecard: dict = {}
+    for name, defense, mixed in (("baseline", "fifo", False),
+                                 ("fifo", "fifo", True),
+                                 ("red", "red", True),
+                                 ("red_drr", "red_drr", True)):
+        # Only the defenseless leg carries the management station: the
+        # detection claim is about seeing the collapse, not the cure.
+        legs[name], scorecard[name] = _run_leg(
+            seed, defense, mixed=mixed, managed=(name == "fifo"), size=size)
+    return RaceReport(f"collapse[seed={seed}]", legs, scorecard, tables)
+
+
+def _ratios(report: RaceReport) -> tuple[float, float]:
+    """(mixed-FIFO aggregate goodput, RED+DRR conforming per-flow
+    goodput), each over the all-conforming baseline."""
+    card = report.scorecard
+    base = card["baseline"]["goodput_bps"]
+    fifo = card["fifo"]["goodput_bps"]["aggregate"]
+    drr = card["red_drr"]["goodput_bps"]["conforming_per_flow_mean"]
+    return (fifo / base["aggregate"] if base["aggregate"] else 1.0,
+            drr / base["conforming_per_flow_mean"]
+            if base["conforming_per_flow_mean"] else 0.0)
+
+
+def _detections(report: RaceReport) -> list[dict]:
+    netmgmt = report.legs["fifo"].counters.get("netmgmt", {})
+    return [f for f in netmgmt.get("per_fault", [])
+            if f.get("kind") == "misbehaving-hosts" and f.get("detected")]
+
+
+def gates(report: RaceReport, size: str) -> list[str]:
+    """The defense verdicts beyond ok/reconverged.
+
+    1. At ``full`` size only (the 4-AS shape races the same machinery
+       but is not deep enough to collapse): the mixed ecology on FIFO
+       *collapses* — aggregate goodput under 40% of the all-conforming
+       baseline while **every** bottleneck stays ≥95% busy (RFC 896's
+       signature: a busy wire doing no work).
+    2. RED+DRR restores conforming hosts to ≥90% of their baseline
+       per-flow goodput.
+    3. The harm ledger attributes the majority of duplicate transit
+       bytes to the misbehaving ASes.
+    4. The management plane detects the storm from the ``collapse`` MIB
+       subtree.
+    """
+    fifo = report.scorecard["fifo"]
+    goodput_ratio, fair = _ratios(report)
+    failures = []
+    if size == "full":
+        if goodput_ratio >= 0.40:
+            failures.append(f"no collapse: mixed-FIFO goodput is "
+                            f"{100 * goodput_ratio:.1f}% of baseline "
+                            f"(need < 40%)")
+        busy = fifo["bottleneck_busy"]["min"]
+        if busy < 0.95:
+            failures.append(f"least-busy bottleneck only {100 * busy:.1f}% "
+                            f"busy on the FIFO leg (need >= 95% for the "
+                            f"collapse claim)")
+    if fair < 0.90:
+        failures.append(f"RED+DRR restored conforming flows to only "
+                        f"{100 * fair:.1f}% of baseline (need >= 90%)")
+    dup_frac = fifo["harm"]["misbehaving_duplicate_fraction"]
+    if dup_frac <= 0.5:
+        failures.append(f"harm ledger attributes only "
+                        f"{100 * dup_frac:.1f}% of duplicate bytes to the "
+                        f"misbehaving ASes (need a majority)")
+    if not _detections(report):
+        failures.append("management plane never detected the collapse "
+                        "(no misbehaving-hosts alarm matched)")
+    return failures
+
+
+def verdict(report: RaceReport) -> str:
+    fifo = report.scorecard["fifo"]
+    goodput_ratio, fair = _ratios(report)
+    # Claim a collapse only when the depth thresholds gates() checks at
+    # full size actually hold; the small shape usually stays shallow.
+    deep = goodput_ratio < 0.40 and fifo["bottleneck_busy"]["min"] >= 0.95
+    headline = "collapse reproduced" if deep else "shallow race, no collapse"
+    return (f"{headline} (goodput {100 * goodput_ratio:.1f}% of "
+            f"baseline at {100 * fifo['bottleneck_busy']['mean']:.1f}% busy), "
+            f"RED+DRR fair share {100 * fair:.1f}%, misbehaving ASes own "
+            f"{100 * fifo['harm']['misbehaving_duplicate_fraction']:.0f}% of "
+            f"duplicate bytes, MTTD {_detections(report)[0]['mttd']:.1f}s")

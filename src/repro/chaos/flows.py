@@ -35,7 +35,6 @@ from ..apps.voice import VoiceCodec
 from ..harness.flowtopo import (BOTTLENECK_BPS, FlowTopology, RecordingMeter,
                                 build_flow_topology)
 from ..harness.tables import Table
-from ..metrics.export import canonical_json, write_json
 from ..netmgmt.alarms import RateRule
 from ..netmgmt.campaign import ManagementPlane
 from ..sim.engine import Simulator
@@ -43,10 +42,10 @@ from ..vc.network import VirtualCircuitNetwork
 from .campaign import FaultCampaign
 from .faults import GatewayCrash, HostRestart, LinkFlap, Partition
 from .monitors import InvariantMonitor, default_monitors
-from .report import CampaignReport
+from .report import CampaignReport, RaceReport
 
-__all__ = ["FlowStateMonitor", "VcVoiceConversation", "FlowsRaceReport",
-           "run_flows_campaign"]
+__all__ = ["FlowStateMonitor", "VcVoiceConversation", "run_flows_campaign",
+           "gates", "verdict"]
 
 # The shared fault schedule, relative to convergence (seconds).
 FLAP_AT, FLAP_DWELL = 6.0, 3.0
@@ -242,81 +241,29 @@ class VcVoiceConversation:
         }
 
 
-class FlowsRaceReport:
-    """The combined artifact: two campaign reports plus the VC mirror.
-
-    Duck-types the slice of :class:`CampaignReport` the CLI gate uses
-    (``ok`` / ``all_reconverged`` / ``violation_count`` / ``faults`` /
-    ``counters`` / ``print`` / ``write``); serialization stays canonical
-    so the same-seed byte-identity contract holds for the whole race.
-    """
-
-    def __init__(self, name: str, fifo: CampaignReport, drr: CampaignReport,
-                 vc_counters: dict, race: dict):
-        self.name = name
-        self.fifo = fifo
-        self.drr = drr
-        self.vc = vc_counters
-        self.race = race
-        self.counters = {"race": race}
-
-    @property
-    def ok(self) -> bool:
-        return self.fifo.ok and self.drr.ok
-
-    @property
-    def violation_count(self) -> int:
-        return self.fifo.violation_count + self.drr.violation_count
-
-    @property
-    def all_reconverged(self) -> bool:
-        return self.fifo.all_reconverged and self.drr.all_reconverged
-
-    @property
-    def faults(self) -> list:
-        return self.drr.faults
-
-    def to_dict(self) -> dict:
-        return {
-            "campaign": self.name,
-            "variants": {
-                "fifo": self.fifo.to_dict(),
-                "drr": self.drr.to_dict(),
-                "vc": self.vc,
-            },
-            "race": self.race,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write(self, path):
-        return write_json(path, self.to_dict())
-
-    def race_table(self) -> Table:
-        table = Table(
-            f"'{self.name}': voice under one fault schedule",
-            ["discipline", "usable %", "at saturation %",
-             "post-crash %", "conversation deaths"],
-            note="post-crash = within one refresh interval of restore",
+def race_table(report: RaceReport) -> Table:
+    table = Table(
+        f"'{report.name}': voice under one fault schedule",
+        ["discipline", "usable %", "at saturation %",
+         "post-crash %", "conversation deaths"],
+        note="post-crash = within one refresh interval of restore",
+    )
+    for key, label in (("fifo", "datagram FIFO"),
+                       ("vc", "virtual circuit"),
+                       ("drr", "soft-state DRR")):
+        entry = report.scorecard[key]
+        table.add(
+            label,
+            _fmt(entry.get("voice_usable_pct")),
+            _fmt(entry.get("usable_saturation_pct")),
+            _fmt(entry.get("usable_post_recovery_pct")),
+            entry.get("conversations_died", 0),
         )
-        for key, label in (("fifo", "datagram FIFO"),
-                           ("vc", "virtual circuit"),
-                           ("drr", "soft-state DRR")):
-            entry = self.race[key]
-            table.add(
-                label,
-                _fmt(entry.get("voice_usable_pct")),
-                _fmt(entry.get("usable_saturation_pct")),
-                _fmt(entry.get("usable_post_recovery_pct")),
-                entry.get("conversations_died", 0),
-            )
-        return table
+    return table
 
-    def print(self) -> None:
-        self.drr.print()
-        print()
-        print(self.race_table().render())
+
+def tables(report: RaceReport) -> list[Table]:
+    return [report.legs["drr"].fault_table(), race_table(report)]
 
 
 def _fmt(value) -> str:
@@ -460,24 +407,63 @@ def _run_vc_variant(duration: float = DURATION) -> dict:
     return out
 
 
-def run_flows_campaign(seed: int = 7, *, trace: bool = False
-                       ) -> FlowsRaceReport:
+def run_flows_campaign(seed: int = 7, *, trace: bool = False) -> RaceReport:
     """Run all three variants under the shared schedule; same seed ⇒
-    byte-identical combined report."""
+    byte-identical combined report.  The VC variant has no datagram
+    campaign to report, so it is a scorecard entry, not a leg."""
     fifo_report, fifo_entry = _run_datagram_variant(
         seed, "fifo", reserve=False, managed=False, observe=False,
         trace=trace)
     drr_report, drr_entry = _run_datagram_variant(
         seed, "drr", reserve=True, managed=True, observe=True, trace=trace)
-    vc_entry = _run_vc_variant()
-    race = {
+    scorecard = {
         "fifo": fifo_entry,
         "drr": drr_entry,
-        "vc": vc_entry,
+        "vc": _run_vc_variant(),
         "schedule": {
             "link_flap_at": FLAP_AT, "gateway_crash_at": CRASH_AT,
             "partition_at": PART_AT, "host_restart_at": RESTART_AT,
         },
     }
-    return FlowsRaceReport(f"flows[seed={seed}]", fifo_report, drr_report,
-                           vc_entry, race)
+    return RaceReport(f"flows[seed={seed}]",
+                      {"fifo": fifo_report, "drr": drr_report},
+                      scorecard, tables)
+
+
+def gates(report: RaceReport, size: str) -> list[str]:
+    """The race verdicts beyond ok/reconverged: hard state died, soft
+    state healed within one refresh, DRR protected voice at saturation,
+    and the station saw both the crash and the lost reservation."""
+    card = report.scorecard
+    failures = []
+    if card["vc"].get("conversations_died", 0) < 1:
+        failures.append("VC conversation survived the gateway crash "
+                        "(hard state should have died with the switch)")
+    soft = card["drr"].get("soft_state", {})
+    if not soft.get("reinstalled_within_interval", False):
+        failures.append("soft-state reservation not re-installed within "
+                        "one refresh interval of gateway restore")
+    drr_sat = card["drr"].get("usable_saturation_pct")
+    fifo_sat = card["fifo"].get("usable_saturation_pct")
+    if drr_sat is None or fifo_sat is None or drr_sat <= fifo_sat:
+        failures.append(f"DRR voice did not beat FIFO at saturation "
+                        f"(drr={drr_sat} fifo={fifo_sat})")
+    netmgmt = report.legs["drr"].counters.get("netmgmt", {})
+    if not any(f.get("kind") == "gateway-crash" and f.get("detected")
+               for f in netmgmt.get("per_fault", [])):
+        failures.append("management plane never detected the gateway crash")
+    if not netmgmt.get("reservation_loss", {}).get("detected", False):
+        failures.append("flow-state-lost alarm never raised for the crash")
+    return failures
+
+
+def verdict(report: RaceReport) -> str:
+    card = report.scorecard
+    soft = card["drr"]["soft_state"]
+    loss = report.legs["drr"].counters["netmgmt"]["reservation_loss"]
+    return (f"VC died {card['vc']['conversations_died']}x, soft state "
+            f"re-installed in {soft['reinstalls'][0]['delay']:.3f}s "
+            f"(interval {soft['refresh_interval_s']:g}s), voice at "
+            f"saturation drr={card['drr']['usable_saturation_pct']:.1f}% "
+            f"vs fifo={card['fifo']['usable_saturation_pct']:.1f}%, "
+            f"reservation-loss MTTD {loss['per_crash'][0]['mttd']:.3f}s")

@@ -1,5 +1,9 @@
-"""Campaign outcome record: what happened, how fast we recovered, and
+"""Campaign outcome records: what happened, how fast we recovered, and
 every invariant violation with its trace excerpt.
+
+Two shapes, and only two: :class:`CampaignReport` is one fault campaign
+(one leg); :class:`RaceReport` is several named legs under one seed plus
+the scorecard that compares them.
 
 The report is the regression artifact: CI uploads it, the determinism test
 asserts two identically-seeded campaigns produce *byte-identical* JSON, and
@@ -10,7 +14,7 @@ through :mod:`repro.metrics.export` so the bytes are canonical.
 from __future__ import annotations
 
 import pathlib
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from ..harness.tables import Table
 from ..metrics.export import canonical_json, write_json
@@ -20,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .faults import Fault
     from .monitors import InvariantMonitor
 
-__all__ = ["CampaignReport"]
+__all__ = ["CampaignReport", "RaceReport"]
 
 
 class CampaignReport:
@@ -152,3 +156,71 @@ class CampaignReport:
         return (f"<CampaignReport '{self.name}' faults={len(self.faults)} "
                 f"violations={self.violation_count} "
                 f"reconverged={self.all_reconverged}>")
+
+
+class RaceReport:
+    """Named legs run under one seed, plus the scorecard that compares them.
+
+    The one multi-leg report shape: ``legs`` maps leg name to that leg's
+    :class:`CampaignReport` (insertion order is run order), ``scorecard``
+    is the campaign's own canonicalizable verdict data, and ``tables`` is
+    the campaign's ``report -> list[Table]`` rendering function.  The
+    gates a CLI applies to a single campaign (``ok`` /
+    ``all_reconverged``) fold over the legs.
+    """
+
+    def __init__(self, name: str, legs: dict[str, CampaignReport],
+                 scorecard: dict,
+                 tables: Callable[["RaceReport"], list[Table]]):
+        self.name = name
+        self.legs = legs
+        self.scorecard = scorecard
+        self.tables = tables
+
+    @property
+    def violation_count(self) -> int:
+        return sum(leg.violation_count for leg in self.legs.values())
+
+    @property
+    def ok(self) -> bool:
+        return self.violation_count == 0
+
+    @property
+    def all_reconverged(self) -> bool:
+        return all(leg.all_reconverged for leg in self.legs.values())
+
+    @property
+    def faults(self) -> list["Fault"]:
+        return [fault for leg in self.legs.values() for fault in leg.faults]
+
+    @property
+    def counters(self) -> dict:
+        return {name: leg.counters for name, leg in self.legs.items()}
+
+    def to_dict(self) -> dict:
+        return {
+            "campaign": self.name,
+            "legs": {name: leg.to_dict() for name, leg in self.legs.items()},
+            "scorecard": self.scorecard,
+        }
+
+    def to_json(self) -> str:
+        """Canonical (byte-stable) JSON form."""
+        return canonical_json(self.to_dict())
+
+    def write(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
+        return write_json(path, self.to_dict())
+
+    def render(self) -> str:
+        parts = [table.render() for table in self.tables(self)]
+        parts.extend(leg.violation_table().render()
+                     for leg in self.legs.values() if leg.violation_count)
+        return "\n\n".join(parts)
+
+    def print(self) -> None:
+        print()
+        print(self.render())
+
+    def __repr__(self) -> str:
+        return (f"<RaceReport '{self.name}' legs={list(self.legs)} "
+                f"violations={self.violation_count}>")

@@ -32,7 +32,7 @@ from .faults import HostRestart
 from .report import CampaignReport
 
 __all__ = ["RestartScenario", "build_restart_scenario",
-           "run_restart_campaign", "restart_payload"]
+           "run_restart_campaign", "restart_payload", "gates", "verdict"]
 
 
 def restart_payload(length: int) -> bytes:
@@ -190,3 +190,21 @@ def run_restart_campaign(seed: int = 7, **kwargs) -> CampaignReport:
     """Build and run the seeded restart campaign; returns the report with
     payload-integrity and transport/session counters folded in."""
     return build_restart_scenario(seed, **kwargs).run()
+
+
+def gates(report: CampaignReport, size: str) -> list[str]:
+    """Beyond ok/reconverged: the application payload arrived complete,
+    in order, with zero duplicated bytes."""
+    counters = report.counters
+    if counters.get("payload_intact", False):
+        return []
+    return [f"payload corrupted — {counters['payload_lost_bytes']} byte(s) "
+            f"lost, {counters['payload_duplicated_bytes']} duplicated"]
+
+
+def verdict(report: CampaignReport) -> str:
+    sess = report.counters["session_client"]
+    return (f"{len(report.faults)} restart(s) survived — "
+            f"{sess['reconnects']} reconnect(s), "
+            f"{sess['bytes_replayed']} byte(s) replayed, payload intact, "
+            f"zero invariant violations")

@@ -36,12 +36,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..harness.scaletopo import RingNet, ScaleConfig
+from ..harness.scaletopo import SMALL_RING, RingNet, ScaleConfig
 from ..harness.tables import Table
 from ..harness.topology import Internet
-from ..metrics.export import canonical_json, write_json
 from ..netmgmt.alarms import AgentUnreachableRule, RateRule
-from ..netmgmt.campaign import ManagementPlane
+from ..netmgmt.campaign import ManagementPlane, format_mttd
 from ..obs.routing import (
     ConvergenceTracer,
     PathProbeResponder,
@@ -51,9 +50,9 @@ from ..obs.routing import (
 )
 from .campaign import FaultCampaign
 from .faults import GatewayCrash, LinkFlap, Partition
-from .report import CampaignReport
+from .report import CampaignReport, RaceReport
 
-__all__ = ["run_routeobs_campaign", "RouteObsReport",
+__all__ = ["run_routeobs_campaign", "gates", "verdict",
            "MESH_INTERVAL", "WARMUP", "RUN_UNTIL"]
 
 #: Shared timeline (seconds of simulation).
@@ -69,15 +68,6 @@ DIAMOND_UNTIL = 45.0
 #: Route-churn alarm: ledger events/s over this rate in an 8 s window
 #: is a topology-change signature (steady-state DV installs nothing).
 CHURN_RATE_BOUND = 0.25
-
-_SIZES = {
-    "full": dict(n_as=8, gateways_per_as=8, hosts_per_lan=7),
-    "small": dict(n_as=4, gateways_per_as=4, hosts_per_lan=2),
-}
-
-
-def _mttd(value) -> str:
-    return f"{value:.2f}s" if value is not None else "-"
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +164,9 @@ def _leg_summary(report: CampaignReport, mesh: ProbeMesh,
 # Leg 1: the static-exterior ring (blackhole signatures)
 # ----------------------------------------------------------------------
 def _run_ring_leg(seed: int, size: str) -> tuple[CampaignReport, dict]:
-    cfg = replace(ScaleConfig(seed=seed), **_SIZES[size])
+    cfg = ScaleConfig(seed=seed)
+    if size == "small":
+        cfg = replace(cfg, **SMALL_RING)
     net = RingNet(cfg)
     n = cfg.n_as
 
@@ -324,124 +316,123 @@ def _run_diamond_leg(seed: int) -> tuple[CampaignReport, dict]:
 # ----------------------------------------------------------------------
 # The combined report
 # ----------------------------------------------------------------------
-class RouteObsReport:
-    """Duck-types :class:`CampaignReport` across the two legs."""
-
-    LEGS = ("ring", "diamond")
-
-    def __init__(self, name: str, legs: dict, summary: dict):
-        self.name = name
-        self.legs = legs          # leg name -> CampaignReport
-        self.summary = summary    # leg name -> _leg_summary dict
-
-    # -- CampaignReport surface ----------------------------------------
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.legs.values())
-
-    @property
-    def violation_count(self) -> int:
-        return sum(r.violation_count for r in self.legs.values())
-
-    @property
-    def all_reconverged(self) -> bool:
-        return all(r.all_reconverged for r in self.legs.values())
-
-    @property
-    def faults(self) -> list:
-        out = []
-        for name in self.LEGS:
-            out.extend(self.legs[name].faults)
-        return out
-
-    @property
-    def counters(self) -> dict:
-        return {name: self.legs[name].counters for name in self.LEGS}
-
-    def to_dict(self) -> dict:
-        return {
-            "campaign": self.name,
-            "legs": {name: self.legs[name].to_dict() for name in self.LEGS},
-            "summary": {name: self.summary[name] for name in self.LEGS},
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write(self, path):
-        return write_json(path, self.to_dict())
-
-    # -- rendering ------------------------------------------------------
-    def leg_table(self) -> Table:
-        table = Table(
-            f"route observability '{self.name}': what the mesh saw",
-            ["leg", "pairs", "walks", "blackholes", "path changes",
-             "steady agree/disagree", "detected", "false", "MTTD mean/max"],
-            note="steady = pre-fault differential check of traceroute "
-                 "vs graph-computed forwarding path")
-        for name in self.LEGS:
-            s = self.summary[name]
-            steady = s["steady"]
-            table.add(
-                name, s["pairs"], s["rounds"],
-                s["blackholes"], s["path_changes"],
-                f"{steady.get('agreements', 0)}/"
-                f"{steady.get('disagreements', 0)}",
-                f"{s['detected_faults']}/{s['faults']}",
-                s["false_alarms"],
-                f"{_mttd(s['mttd_mean'])}/{_mttd(s['mttd_max'])}",
-            )
-        return table
-
-    def mttd_table(self) -> Table:
-        table = Table(
-            "path-change detection per fault (E15)",
-            ["leg", "fault", "applied", "MTTD", "alerts",
-             "reconverged", "triggers", "installs"],
-            note="MTTD from the station's alert bus; convergence columns "
-                 "from the causal ribbon over the fault window")
-        for name in self.LEGS:
-            report = self.legs[name]
-            per_fault = report.counters.get("netmgmt", {}).get("per_fault", [])
-            ribbon = {r["detail"]: r
-                      for r in report.counters.get("convergence", [])}
-            for record in per_fault:
-                conv = ribbon.get(record["detail"], {})
-                recon = "-"
-                for fault in report.faults:
-                    if (fault.describe() == record["detail"]
-                            and fault.reconvergence_time is not None):
-                        recon = f"{fault.reconvergence_time:.2f}s"
-                table.add(name, record["kind"],
-                          f"{record['applied_at']:.0f}s",
-                          _mttd(record["mttd"]),
-                          record["alerts_matched"], recon,
-                          conv.get("triggered_updates", 0),
-                          conv.get("installs", 0))
-        return table
-
-    def render(self) -> str:
-        parts = [self.leg_table().render(), self.mttd_table().render()]
-        for name in self.LEGS:
-            leg = self.legs[name]
-            if leg.violation_count:
-                parts.append(leg.violation_table().render())
-        return "\n\n".join(parts)
-
-    def print(self) -> None:
-        print()
-        print(self.render())
-
-    def __repr__(self) -> str:
-        return (f"<RouteObsReport '{self.name}' legs={len(self.legs)} "
-                f"violations={self.violation_count}>")
+def leg_table(report: RaceReport) -> Table:
+    table = Table(
+        f"route observability '{report.name}': what the mesh saw",
+        ["leg", "pairs", "walks", "blackholes", "path changes",
+         "steady agree/disagree", "detected", "false", "MTTD mean/max"],
+        note="steady = pre-fault differential check of traceroute "
+             "vs graph-computed forwarding path")
+    for name, s in report.scorecard.items():
+        steady = s["steady"]
+        table.add(
+            name, s["pairs"], s["rounds"],
+            s["blackholes"], s["path_changes"],
+            f"{steady.get('agreements', 0)}/"
+            f"{steady.get('disagreements', 0)}",
+            f"{s['detected_faults']}/{s['faults']}",
+            s["false_alarms"],
+            f"{format_mttd(s['mttd_mean'])}/{format_mttd(s['mttd_max'])}",
+        )
+    return table
 
 
-def run_routeobs_campaign(seed: int, *, size: str = "full") -> RouteObsReport:
+def mttd_table(report: RaceReport) -> Table:
+    table = Table(
+        "path-change detection per fault (E15)",
+        ["leg", "fault", "applied", "MTTD", "alerts",
+         "reconverged", "triggers", "installs"],
+        note="MTTD from the station's alert bus; convergence columns "
+             "from the causal ribbon over the fault window")
+    for name, leg in report.legs.items():
+        per_fault = leg.counters.get("netmgmt", {}).get("per_fault", [])
+        ribbon = {r["detail"]: r
+                  for r in leg.counters.get("convergence", [])}
+        for record in per_fault:
+            conv = ribbon.get(record["detail"], {})
+            recon = "-"
+            for fault in leg.faults:
+                if (fault.describe() == record["detail"]
+                        and fault.reconvergence_time is not None):
+                    recon = f"{fault.reconvergence_time:.2f}s"
+            table.add(name, record["kind"],
+                      f"{record['applied_at']:.0f}s",
+                      format_mttd(record["mttd"]),
+                      record["alerts_matched"], recon,
+                      conv.get("triggered_updates", 0),
+                      conv.get("installs", 0))
+    return table
+
+
+def tables(report: RaceReport) -> list[Table]:
+    return [leg_table(report), mttd_table(report)]
+
+
+def run_routeobs_campaign(seed: int, *, size: str = "full") -> RaceReport:
     """Both legs under one seed: blackhole signatures on the static
     ring, a genuine reroute on the redundant diamond."""
     legs: dict = {}
-    summary: dict = {}
-    legs["ring"], summary["ring"] = _run_ring_leg(seed, size)
-    legs["diamond"], summary["diamond"] = _run_diamond_leg(seed)
-    return RouteObsReport(f"routeobs[seed={seed}]", legs, summary)
+    scorecard: dict = {}
+    legs["ring"], scorecard["ring"] = _run_ring_leg(seed, size)
+    legs["diamond"], scorecard["diamond"] = _run_diamond_leg(seed)
+    return RaceReport(f"routeobs[seed={seed}]", legs, scorecard, tables)
+
+
+def gates(report: RaceReport, size: str) -> list[str]:
+    """The detection verdicts beyond ok/reconverged.
+
+    1. Steady state: every probe pair baselined before the first fault
+       and every completed traceroute agreed with the graph-computed
+       forwarding path (zero differential disagreements).
+    2. Every fault on both legs detected with finite MTTD, zero false
+       alarms at this seed.
+    3. The ring leg observed the blackhole signature (static exterior:
+       inter-AS faults cannot reroute) and the diamond leg observed a
+       genuine ``path-change`` reroute.
+    4. Mesh overhead on the ring leg stayed under 5% of goodput.
+    """
+    card = report.scorecard
+    failures = []
+    for leg, s in card.items():
+        steady = s["steady"]
+        if steady.get("pairs_with_baseline") != steady.get("pairs"):
+            failures.append(f"{leg}: only {steady.get('pairs_with_baseline')}"
+                            f"/{steady.get('pairs')} probe pairs baselined "
+                            f"before the first fault")
+        if steady.get("disagreements", 1) != 0:
+            failures.append(f"{leg}: {steady.get('disagreements')} steady-"
+                            f"state traceroute-vs-graph disagreements "
+                            f"(need 0)")
+        if not steady.get("agreements"):
+            failures.append(f"{leg}: no steady-state differential checks "
+                            f"completed")
+        if s["detected_faults"] != s["faults"]:
+            failures.append(f"{leg}: only {s['detected_faults']}/"
+                            f"{s['faults']} faults detected")
+        if s["mttd_max"] is None:
+            failures.append(f"{leg}: no finite MTTD")
+        if s["false_alarms"]:
+            failures.append(f"{leg}: {s['false_alarms']} false alarm(s)")
+    if card["ring"]["blackholes"] < 1:
+        failures.append("ring: no path-blackhole observed (the static-"
+                        "exterior signature)")
+    if card["diamond"]["path_changes"] < 1:
+        failures.append("diamond: no path-change observed (the reroute "
+                        "never happened)")
+    overhead = card["ring"]["mesh_overhead"]
+    if overhead is None or overhead > 0.05:
+        failures.append(f"ring: probe-mesh overhead {overhead} of goodput "
+                        f"(need <= 5%)")
+    return failures
+
+
+def verdict(report: RaceReport) -> str:
+    ring, diamond = report.scorecard["ring"], report.scorecard["diamond"]
+    return (f"{ring['faults'] + diamond['faults']} faults all detected "
+            f"(MTTD ring {format_mttd(ring['mttd_mean'])} / diamond "
+            f"{format_mttd(diamond['mttd_mean'])}, zero false alarms), "
+            f"{ring['steady']['agreements']}+"
+            f"{diamond['steady']['agreements']} steady path checks agreed, "
+            f"{ring['blackholes']} blackhole walks + "
+            f"{diamond['path_changes']} reroute walks observed, mesh "
+            f"overhead {100 * ring['mesh_overhead']:.1f}% of goodput")

@@ -38,10 +38,15 @@ from ..sim.rand import RandomStreams
 from ..sim.shard import ConduitPort, ShardBuild
 from .topology import Internet
 
-__all__ = ["ScaleConfig", "MultiAsBuilder", "RingNet", "INTER_AS_DELAY"]
+__all__ = ["ScaleConfig", "MultiAsBuilder", "RingNet", "INTER_AS_DELAY",
+           "SMALL_RING"]
 
 #: Propagation delay of every inter-AS link — the lookahead window.
 INTER_AS_DELAY = 0.01
+
+#: What ``--size small`` means for every campaign on the ring: the same
+#: shape as the 512-node default, 48 nodes, minutes cheaper.
+SMALL_RING = dict(n_as=4, gateways_per_as=4, hosts_per_lan=2)
 
 
 @dataclass(frozen=True)

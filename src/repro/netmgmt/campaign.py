@@ -35,7 +35,12 @@ from .agent import MgmtAgent, install_agents
 from .alarms import AgentUnreachableRule, AlarmEngine, AlertBus, Rule
 from .collector import Collector
 
-__all__ = ["ManagementPlane"]
+__all__ = ["ManagementPlane", "format_mttd"]
+
+
+def format_mttd(value: Optional[float]) -> str:
+    """An MTTD for humans: ``-`` when nothing was detected."""
+    return f"{value:.2f}s" if value is not None else "-"
 
 
 class ManagementPlane:
@@ -305,8 +310,10 @@ class ManagementPlane:
             out["per_fault"] = records
             out["false_alarms"] = len(false_alarms)
             out["detected_faults"] = sum(1 for r in records if r["detected"])
-            out["mttd_mean"] = summary.mean
-            out["mttd_max"] = summary.maximum
+            # No detection has no MTTD: None, not Summary.of([])'s 0.0,
+            # which would read as "detected instantly".
+            out["mttd_mean"] = summary.mean if mttds else None
+            out["mttd_max"] = summary.maximum if mttds else None
         return out
 
     def snapshot(self) -> dict:

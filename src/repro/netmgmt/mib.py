@@ -254,13 +254,13 @@ def build_mib(node: Node, *, udp=None, tcp=None) -> MibTree:
     obs = getattr(node, "obs", None)
     if obs is not None:
         def _drops_total(obs=obs, name=node.name):
-            prefix_a, prefix_b = "ip_drops{node=" + name + ",", \
-                                 "ip_drops{node=" + name + "}"
-            total = 0
-            for key, counter in obs.registry._counters.items():
-                if key.startswith(prefix_a) or key == prefix_b:
-                    total += counter.value
-            return total
+            # "node=G1," and "node=G1}" but never "node=G10...".
+            series = "ip_drops{node=" + name
+            end = len(series)
+            return sum(
+                value for key, value
+                in obs.registry.counters_matching(series).items()
+                if key[end] in ",}")
 
         tree.add("metrics.ip_drops_total", _drops_total)
 

@@ -11,8 +11,9 @@ Entry points:
 
 * ``net.observe()`` on an :class:`~repro.harness.topology.Internet`
   installs an :class:`Observability` bundle across the whole stack;
-* ``python -m repro.obs`` runs a seeded chaos campaign with observability
-  on and dumps the journey/metrics/profile report.
+* ``python -m repro.chaos --campaign observed`` runs a seeded chaos
+  campaign with observability on and dumps the journey/metrics/profile
+  report.
 """
 
 from .core import Observability

@@ -256,6 +256,13 @@ class MetricsRegistry:
         return sum(c.value for k, c in self._counters.items()
                    if k == name or k.startswith(prefix))
 
+    def counters_matching(self, prefix: str) -> dict[str, int]:
+        """Current value of every counter series whose key (``name`` or
+        ``name{label=value,...}``) starts with ``prefix``."""
+        return {key: counter.value
+                for key, counter in self._counters.items()
+                if key.startswith(prefix)}
+
     def to_dict(self) -> dict:
         """A canonicalizable snapshot of every instrument and every
         registered stats object (live values, taken now)."""

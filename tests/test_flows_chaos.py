@@ -5,7 +5,7 @@ subtree, and the three-way FIFO/VC/DRR race campaign."""
 from repro import Internet
 from repro.apps.traffic import CbrSource, UdpSink
 from repro.chaos import BlackoutDeliveryMonitor, FaultCampaign, GatewayCrash
-from repro.chaos.flows import FlowStateMonitor, run_flows_campaign
+from repro.chaos.flows import FlowStateMonitor, gates, run_flows_campaign
 from repro.flows.flowspec import FlowSpec
 from repro.flows.gateway import FlowGateway, ReservationSender, accept_reservations
 from repro.ip.packet import PROTO_UDP
@@ -126,20 +126,19 @@ def test_flows_race_campaign_smoke_and_determinism():
     report = run_flows_campaign(7)
     assert report.ok
     assert report.all_reconverged
-    race = report.race
-    # The crux: hard state dies with the switch, soft state re-installs.
-    assert race["vc"]["conversations_died"] >= 1
-    soft = race["drr"]["soft_state"]
-    assert soft["reinstalled_within_interval"]
+    # The crux — hard state dies with the switch, soft state re-installs,
+    # DRR protects voice, the station sees crash and lost reservation —
+    # is the campaign's own gate list.
+    assert gates(report, "full") == []
+    assert list(report.legs) == ["fifo", "drr"]
+    card = report.scorecard
+    soft = card["drr"]["soft_state"]
     assert len(soft["reinstalls"]) == 1
     assert soft["reinstalls"][0]["delay"] <= soft["refresh_interval_s"] + 0.75
-    # Voice isolation at saturation: DRR protects it, FIFO drowns it.
-    assert race["drr"]["usable_saturation_pct"] > race["fifo"]["usable_saturation_pct"] + 20
-    # The management plane saw the crash AND the lost reservation.
-    netmgmt = report.drr.counters["netmgmt"]
-    assert netmgmt["reservation_loss"]["detected"]
-    assert netmgmt["false_alarms"] == 0
-    assert any(f["kind"] == "gateway-crash" and f["detected"]
-               for f in netmgmt["per_fault"])
+    # Margins the gates do not insist on: a wide voice-isolation gap at
+    # saturation, and not one false alarm.
+    assert (card["drr"]["usable_saturation_pct"]
+            > card["fifo"]["usable_saturation_pct"] + 20)
+    assert report.legs["drr"].counters["netmgmt"]["false_alarms"] == 0
     # Same seed, same bytes — even within one process.
     assert run_flows_campaign(7).to_json() == report.to_json()

@@ -358,7 +358,7 @@ def test_unprofiled_simulator_has_no_overhead_attribute_surprises():
 # Determinism: same seed, same bytes, with obs embedded
 # ----------------------------------------------------------------------
 def run_observed_campaign(seed):
-    from repro.chaos.__main__ import build_default_net
+    from repro.chaos.campaigns import build_default_net
     from repro.chaos.random_chaos import RandomChaos
     net = build_default_net(seed)
     net.observe()
