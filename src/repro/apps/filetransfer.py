@@ -123,8 +123,8 @@ class FileSender:
 
     def _begin(self) -> None:
         self.sock.write(_HEADER.pack(self.size))
-        # The stream socket queues everything; write in chunks anyway so the
-        # pattern fill does not allocate one giant buffer.
+        # The stream socket queues whatever the transport cannot take yet,
+        # which for any sizeable transfer is nearly the whole file.
         remaining = self.size
         while remaining > 0:
             n = min(self.chunk, remaining)

@@ -22,6 +22,7 @@ from ..sim.engine import Simulator
 from ..sim.trace import Tracer
 from ..tcp.connection import TcpConfig, TcpConnection
 from ..tcp.stack import TcpStack
+from ..tcp.state import TcpState
 from ..udp.udp import UdpSocket, UdpStack
 
 __all__ = ["Host", "Gateway", "StreamSocket"]
@@ -77,13 +78,18 @@ class StreamSocket:
 
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        if self._queue and self.conn.state.can_send:
-            accepted = self.conn.send(bytes(self._queue))
+        conn = self.conn
+        if self._queue and conn.state.can_send:
+            # Hand over only what fits: copying the whole backlog to have
+            # all but a segment's worth refused made a transfer's host cost
+            # quadratic in its size.  ``send`` runs even with nothing to
+            # hand over, because it is what prompts the transport to send.
+            accepted = conn.send(bytes(self._queue[:conn.send_buffer.free_space]))
             if accepted:
                 del self._queue[:accepted]
-        if self._close_requested and not self._queue and not self.conn._fin_queued:
-            if self.conn.state.can_send or self.conn.state.value == "SYN_SENT":
-                self.conn.close()
+        if self._close_requested and not self._queue and not conn.fin_queued:
+            if conn.state.can_send or conn.state is TcpState.SYN_SENT:
+                conn.close()
 
     def _handle_open(self) -> None:
         if self.on_open is not None:

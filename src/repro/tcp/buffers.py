@@ -10,7 +10,7 @@ exactly what experiment E9 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Optional
 
 from .segment import seq_add, seq_sub
@@ -31,8 +31,12 @@ class SendBuffer:
         self.base_seq = base_seq
         self.capacity = capacity
         self._data = bytearray()
-        #: Marks (relative offsets just past an application write) where PSH
-        #: should be set, preserving the "rubber EOL" semantics of §9.
+        #: Stream offset (bytes since ``base_seq`` was first set; a plain
+        #: int, so it never wraps) of ``self._data[0]``.
+        self._acked = 0
+        #: Marks (stream offsets just past an application write, ascending)
+        #: where PSH should be set, preserving the "rubber EOL" semantics
+        #: of §9.  Offsets are absolute, so an ack only drops a prefix.
         self._push_points: list[int] = []
 
     def __len__(self) -> int:
@@ -40,7 +44,8 @@ class SendBuffer:
 
     @property
     def free_space(self) -> int:
-        return max(0, self.capacity - len(self._data))
+        free = self.capacity - len(self._data)
+        return free if free > 0 else 0
 
     @property
     def end_seq(self) -> int:
@@ -52,7 +57,7 @@ class SendBuffer:
         accepted = data[: self.free_space]
         self._data.extend(accepted)
         if push and accepted:
-            self._push_points.append(len(self._data))
+            self._push_points.append(self._acked + len(self._data))
         return len(accepted)
 
     def read(self, seq: int, length: int) -> bytes:
@@ -65,7 +70,10 @@ class SendBuffer:
     def available_from(self, seq: int) -> int:
         """Bytes buffered at or after ``seq``."""
         offset = seq_sub(seq, self.base_seq)
-        return max(0, len(self._data) - max(0, offset))
+        size = len(self._data)
+        if offset <= 0:
+            return size
+        return size - offset if offset < size else 0
 
     def push_at(self, seq: int, length: int) -> bool:
         """Should a segment covering [seq, seq+length) carry PSH?
@@ -73,9 +81,10 @@ class SendBuffer:
         True when a push point falls inside or at the end of the range —
         i.e. the segment completes (part of) an application write.
         """
-        start = seq_sub(seq, self.base_seq)
-        end = start + length
-        return any(start < p <= end for p in self._push_points)
+        start = self._acked + seq_sub(seq, self.base_seq)
+        points = self._push_points
+        first = bisect_right(points, start)      # the first point > start
+        return first < len(points) and points[first] <= start + length
 
     def ack_to(self, seq: int) -> int:
         """Trim bytes acknowledged up to ``seq``; returns bytes freed."""
@@ -85,7 +94,10 @@ class SendBuffer:
         advance = min(advance, len(self._data))
         del self._data[:advance]
         self.base_seq = seq_add(self.base_seq, advance)
-        self._push_points = [p - advance for p in self._push_points if p > advance]
+        self._acked += advance
+        points = self._push_points
+        if points and points[0] <= self._acked:
+            del points[: bisect_right(points, self._acked)]
         return advance
 
 
@@ -102,15 +114,21 @@ class ReceiveBuffer:
         self.rcv_next = rcv_next              # next in-order byte expected
         self.capacity = capacity
         self._delivered_not_read = bytearray()  # in-order, awaiting app read
-        self._ooo: dict[int, bytes] = {}      # absolute seq -> bytes (out of order)
+        #: Out-of-order bytes: disjoint pieces in ascending order from
+        #: ``rcv_next`` (start sequence numbers and payloads in step), and
+        #: their total length.  No byte is held twice, so what is held never
+        #: exceeds what the advertised window allowed the peer to send.
+        self._ooo_seqs: list[int] = []
+        self._ooo_data: list[bytes] = []
+        self._ooo_bytes = 0
         self.bytes_received = 0
         self.duplicate_bytes = 0
 
     @property
     def window(self) -> int:
         """Advertised receive window: capacity minus everything held."""
-        held = len(self._delivered_not_read) + sum(len(v) for v in self._ooo.values())
-        return max(0, self.capacity - held)
+        free = self.capacity - len(self._delivered_not_read) - self._ooo_bytes
+        return free if free > 0 else 0
 
     def accept(self, seq: int, data: bytes) -> bytes:
         """Feed one segment's payload; returns newly in-order bytes (possibly
@@ -118,52 +136,80 @@ class ReceiveBuffer:
         if not data:
             return b""
         self.bytes_received += len(data)
-        offset = seq_sub(self.rcv_next, seq)
-        if offset >= len(data):
-            self.duplicate_bytes += len(data)
-            return b""  # entirely old
-        if offset > 0:
-            self.duplicate_bytes += offset
-            data = data[offset:]
-            seq = seq_add(seq, offset)
+        ahead = seq_sub(seq, self.rcv_next)
+        if ahead < 0:
+            if -ahead >= len(data):
+                self.duplicate_bytes += len(data)
+                return b""  # entirely old
+            self.duplicate_bytes += -ahead
+            data = data[-ahead:]
+            ahead = 0
         # Respect the window: drop bytes beyond capacity.
-        room = self.window
-        if seq_sub(seq, self.rcv_next) + len(data) > room:
-            keep = room - seq_sub(seq, self.rcv_next)
+        keep = self.window - ahead
+        if len(data) > keep:
             if keep <= 0:
                 return b""
             data = data[:keep]
-        if seq_sub(seq, self.rcv_next) > 0:
-            self._stash_ooo(seq, data)
+        if ahead > 0:
+            self._stash_ooo(ahead, data)
             return b""
         # In-order: append, then drain any now-contiguous stashed pieces.
-        out = bytearray(data)
         self.rcv_next = seq_add(self.rcv_next, len(data))
-        out.extend(self._drain_ooo())
-        self._delivered_not_read.extend(out)
-        return bytes(out)
+        if self._ooo_seqs:
+            data = data + self._drain_ooo()
+        self._delivered_not_read.extend(data)
+        return bytes(data)
 
-    def _stash_ooo(self, seq: int, data: bytes) -> None:
-        existing = self._ooo.get(seq)
-        if existing is None or len(data) > len(existing):
-            self._ooo[seq] = data
+    def _stash_ooo(self, ahead: int, data: bytes) -> None:
+        """Hold the bytes of ``data`` (which starts ``ahead`` > 0 bytes past
+        ``rcv_next``) that are not held already: the first arrival of a byte
+        wins, as it does for bytes already delivered."""
+        seqs, pieces = self._ooo_seqs, self._ooo_data
+        rcv_next = self.rcv_next
+
+        def ahead_of(seq: int) -> int:
+            return seq_sub(seq, rcv_next)
+
+        end = ahead + len(data)
+        # Pieces [:i] start at or before the arrival; only the last of them
+        # can reach into it.  Pieces [i:] start inside or beyond it.
+        i = bisect_right(seqs, ahead, key=ahead_of)
+        cursor = ahead
+        if i:
+            cursor = max(cursor, ahead_of(seqs[i - 1]) + len(pieces[i - 1]))
+        while cursor < end:
+            held_from = ahead_of(seqs[i]) if i < len(seqs) else end
+            gap_end = min(held_from, end)
+            if cursor < gap_end:
+                seqs.insert(i, seq_add(rcv_next, cursor))
+                pieces.insert(i, data[cursor - ahead : gap_end - ahead])
+                self._ooo_bytes += gap_end - cursor
+                i += 1
+            if held_from >= end:
+                break
+            cursor = held_from + len(pieces[i])
+            i += 1
 
     def _drain_ooo(self) -> bytes:
+        """Release the held pieces ``rcv_next`` has reached, advancing it
+        through every piece that is now contiguous."""
         out = bytearray()
-        while True:
-            piece = None
-            # Find a stashed piece overlapping rcv_next.
-            for seq in list(self._ooo):
-                delta = seq_sub(self.rcv_next, seq)
-                if 0 <= delta < len(self._ooo[seq]):
-                    piece = self._ooo.pop(seq)[delta:]
-                    break
-                if delta >= len(self._ooo[seq]):
-                    self.duplicate_bytes += len(self._ooo.pop(seq))
-            if piece is None:
-                return bytes(out)
-            out.extend(piece)
-            self.rcv_next = seq_add(self.rcv_next, len(piece))
+        seqs, pieces = self._ooo_seqs, self._ooo_data
+        reached = 0
+        while reached < len(seqs):
+            delta = seq_sub(self.rcv_next, seqs[reached])
+            if delta < 0:
+                break
+            piece = pieces[reached]
+            reached += 1
+            self._ooo_bytes -= len(piece)
+            if delta >= len(piece):
+                self.duplicate_bytes += len(piece)
+            else:
+                out += piece[delta:]
+                self.rcv_next = seq_add(self.rcv_next, len(piece) - delta)
+        del seqs[:reached], pieces[:reached]
+        return bytes(out)
 
     def read(self, max_bytes: Optional[int] = None) -> bytes:
         """Application read: consume in-order bytes (opens the window)."""
@@ -179,4 +225,4 @@ class ReceiveBuffer:
 
     @property
     def out_of_order_segments(self) -> int:
-        return len(self._ooo)
+        return len(self._ooo_seqs)

@@ -19,6 +19,7 @@ implementation quality up and down (goal 6, experiment E6):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -237,8 +238,9 @@ class TcpConnection:
 
         self.send_buffer = SendBuffer(seq_add(self.iss, 1),
                                       capacity=self.config.send_buffer)
-        #: Original segment boundaries, for the no-repacketization policy.
-        self._sent_boundaries: list[tuple[int, int]] = []  # (seq, length)
+        #: Original segment boundaries (seq -> length, in send order, dropped
+        #: as they are acked), for the no-repacketization policy.
+        self._sent_boundaries: OrderedDict[int, int] = OrderedDict()
 
         # Congestion state (Tahoe).
         self.cwnd = self.config.initial_cwnd_segments * self.config.mss
@@ -399,6 +401,12 @@ class TcpConnection:
             self._maybe_window_update()
         return data
 
+    @property
+    def fin_queued(self) -> bool:
+        """The application has called :meth:`close`: no more writes, and our
+        FIN follows the last buffered byte."""
+        return self._fin_queued
+
     def close(self) -> None:
         """Orderly close: FIN after all buffered data is sent."""
         if self.state in (TcpState.CLOSED, TcpState.TIME_WAIT,
@@ -429,81 +437,81 @@ class TcpConnection:
         """Bytes sent but not yet acknowledged."""
         return seq_sub(self.snd_nxt, self.snd_una)
 
-    @property
-    def effective_window(self) -> int:
-        """min(peer window, cwnd) minus what is already in flight."""
-        wnd = self.snd_wnd
-        if self.config.congestion_control:
-            wnd = min(wnd, self.cwnd)
-        return max(0, wnd - self.flight_size)
-
     def _try_send(self) -> None:
-        """Send as much buffered data as windows allow; maybe the FIN."""
+        """Send as much buffered data as windows allow; maybe the FIN.
+
+        One pass measures the flight and the unsent backlog once and keeps
+        both current as it sends (the per-segment budget, DESIGN §7)."""
         if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
                               TcpState.FIN_WAIT_1, TcpState.CLOSING,
                               TcpState.LAST_ACK):
             return
+        config = self.config
+        buf = self.send_buffer
+        mss = self.snd_mss
+        flight = seq_sub(self.snd_nxt, self.snd_una)
+        pending = buf.available_from(self.snd_nxt)
         sent_any = False
-        while True:
-            pending = self.send_buffer.available_from(self.snd_nxt)
-            if pending <= 0:
-                break
-            window = self.effective_window
+        while pending > 0:
+            # min(peer window, cwnd) minus what is already in flight.
+            window = self.snd_wnd
+            if config.congestion_control and self.cwnd < window:
+                window = self.cwnd
+            window -= flight
             if window <= 0:
-                if self.flight_size == 0 and not self.probe_timer.running:
+                if flight == 0 and not self.probe_timer.running:
                     # Zero window with nothing in flight: arm the probe.
-                    self.probe_timer.start(self.config.window_probe_interval)
+                    self.probe_timer.start(config.window_probe_interval)
                 break
-            length = min(pending, self.snd_mss, window)
-            if not self.config.repacketize and seq_lt(self.snd_nxt, self.snd_max):
+            snd_nxt = self.snd_nxt
+            length = min(pending, mss, window)
+            # Bytes below the high-water mark have been on the wire before:
+            # this send is a retransmission (go-back-N recovery).
+            is_retx = seq_sub(snd_nxt, self.snd_max) < 0
+            if is_retx and not config.repacketize:
                 # No-repacketization policy: a resend must reuse the
                 # original segment boundary, not a fresh MSS-sized slice.
-                for seq, original_len in self._sent_boundaries:
-                    if seq == self.snd_nxt:
-                        length = min(length, original_len)
-                        break
+                length = min(length, self._sent_boundaries.get(snd_nxt, length))
             # Nagle: hold a small segment while data is in flight.
-            if (self.config.nagle and length < self.snd_mss
-                    and self.flight_size > 0):
+            if config.nagle and length < mss and flight > 0:
                 break
-            payload = self.send_buffer.read(self.snd_nxt, length)
+            payload = buf.read(snd_nxt, length)
             flags = FLAG_ACK
-            if self.send_buffer.push_at(self.snd_nxt, length):
+            if buf.push_at(snd_nxt, length):
                 flags |= FLAG_PSH
             urgent_ptr = 0
-            if self.snd_up is not None and seq_lt(self.snd_nxt, self.snd_up):
+            if self.snd_up is not None and seq_lt(snd_nxt, self.snd_up):
                 flags |= FLAG_URG
-                urgent_ptr = min(seq_sub(self.snd_up, self.snd_nxt), 0xFFFF)
+                urgent_ptr = min(seq_sub(self.snd_up, snd_nxt), 0xFFFF)
             seg = TcpSegment(
                 src_port=self.local_port, dst_port=self.remote_port,
-                seq=self.snd_nxt, ack=self.rcv.rcv_next, flags=flags,
+                seq=snd_nxt, ack=self.rcv.rcv_next, flags=flags,
                 window=self._advertised_window(), payload=payload,
                 urgent=urgent_ptr,
             )
-            # Bytes below the high-water mark have been on the wire before:
-            # this send is a retransmission (go-back-N recovery).
-            is_retx = seq_lt(self.snd_nxt, self.snd_max)
             if is_retx:
                 self.stats.segments_retransmitted += 1
                 self.stats.bytes_retransmitted += length
-            self._record_boundary(self.snd_nxt, length)
-            self._time_segment(self.snd_nxt, length, retransmit=is_retx)
-            self.snd_nxt = seq_add(self.snd_nxt, length)
-            if seq_gt(self.snd_nxt, self.snd_max):
-                self.snd_max = self.snd_nxt
+            if not config.repacketize:
+                self._sent_boundaries.setdefault(snd_nxt, length)
+            self._time_segment(snd_nxt, length, retransmit=is_retx)
+            self.snd_nxt = snd_nxt = seq_add(snd_nxt, length)
+            if not is_retx or seq_gt(snd_nxt, self.snd_max):
+                self.snd_max = snd_nxt
             self._send_segment(seg)
             self.stats.bytes_sent += length
+            flight += length
+            pending -= length
             sent_any = True
-        self._maybe_send_fin()
-        if sent_any or self.flight_size > 0 or self._fin_in_flight():
+        if self._fin_queued:
+            self._maybe_send_fin()
+        if sent_any or flight > 0 or self._fin_in_flight():
             if not self.retx_timer.running:
                 self.retx_timer.start(self.rto.timeout())
 
     def _maybe_send_fin(self) -> None:
-        """Send (or, after a go-back-N pull-back, resend) our FIN once the
-        buffer has fully drained up to SND.NXT."""
-        if not self._fin_queued:
-            return
+        """Send (or, after a go-back-N pull-back, resend) our queued FIN
+        once the buffer has fully drained up to SND.NXT."""
         if self._fin_seq is not None and seq_gt(self.snd_nxt, self._fin_seq):
             return  # FIN is in flight or acked beyond this point
         if self.send_buffer.available_from(self.snd_nxt) > 0:
@@ -529,10 +537,6 @@ class TcpConnection:
 
     def _fin_in_flight(self) -> bool:
         return self._fin_seq is not None and seq_le(self.snd_una, self._fin_seq)
-
-    def _record_boundary(self, seq: int, length: int) -> None:
-        if not self.config.repacketize:
-            self._sent_boundaries.append((seq, length))
 
     def _time_segment(self, seq: int, length: int, *, retransmit: bool) -> None:
         """Classic rule: time at most one segment at a time; Karn's rule is
@@ -660,11 +664,9 @@ class TcpConnection:
             return 0
         if self.config.repacketize:
             return min(outstanding, self.snd_mss)
-        # Find the recorded original segment starting at snd_una.
-        for seq, length in self._sent_boundaries:
-            if seq == self.snd_una:
-                return min(length, outstanding)
-        return min(outstanding, self.snd_mss)
+        # The recorded original segment starting at snd_una, if any.
+        return min(outstanding,
+                   self._sent_boundaries.get(self.snd_una, self.snd_mss))
 
     def _on_window_probe(self) -> None:
         """Zero-window probe: one byte past the window, forever."""
@@ -776,8 +778,15 @@ class TcpConnection:
         if self.state is TcpState.SYN_SENT:
             self._process_syn_sent(seg)
             return
-        if self.rcv is None:
+        rcv = self.rcv
+        if rcv is None:
             return
+        # One pass reads the flag bits from the int and measures the
+        # segment against RCV.NXT once (the per-segment budget, DESIGN §7).
+        flags = seg.flags
+        payload = seg.payload
+        ahead = seq_sub(seg.seq, rcv.rcv_next)
+        wnd = rcv.window or 1     # a closed window still admits one byte
         # 1. RST validation, *before* anything can kill the connection
         #    (RFC 5961-style acceptance).  A legitimate reset comes from a
         #    peer answering our own segments, so its sequence number lands
@@ -786,26 +795,35 @@ class TcpConnection:
         #    and answered with a challenge ACK rather than obeyed — an
         #    attacker must now hit a ~window/2^32 target to kill a
         #    synchronized connection.
-        if seg.rst:
-            if self._rst_acceptable(seg):
+        if flags & FLAG_RST:
+            if 0 <= ahead < wnd:
                 self._trace("rst-received")
                 self._enter_closed(reason="reset", notify_reset=True)
             else:
                 self.stats.rst_out_of_window += 1
                 self._trace("rst-rejected",
-                            f"seq={seg.seq} rcv_next={self.rcv.rcv_next}")
+                            f"seq={seg.seq} rcv_next={rcv.rcv_next}")
                 self._send_ack()  # challenge: resynchronize a confused peer
             return
-        # 2. Sequence acceptability.
-        if not self._seq_acceptable(seg):
+        # 2. Sequence acceptability (RFC 793): the segment occupies sequence
+        #    space at or beyond RCV.NXT — strictly, its end is *past*
+        #    RCV.NXT — and starts inside the window.  A wholly-old segment,
+        #    e.g. a retransmitted SYN-ACK whose SYN sits just below the
+        #    window, must be answered with a plain ACK, NOT processed:
+        #    treating it as acceptable lets its SYN bit trip the 'SYN while
+        #    synchronized' reset and kill a healthy connection.
+        seg_len = len(payload) + (1 if flags & FLAG_SYN else 0) \
+            + (1 if flags & FLAG_FIN else 0)
+        ends_past = ahead + seg_len > 0 if seg_len else ahead >= -1
+        if not (ends_past and ahead < wnd):
             self._send_ack()  # resynchronize the peer
             return
         # 3. SYN in window after synchronization = fatal.
-        if seg.syn and self.state.is_synchronized:
+        if flags & FLAG_SYN and self.state.is_synchronized:
             self.abort()
             return
         # 4. ACK processing.
-        if seg.ack_flag:
+        if flags & FLAG_ACK:
             if self.state is TcpState.SYN_RECEIVED:
                 if seq_gt(seg.ack, self.snd_una) and seq_le(seg.ack, self.snd_nxt):
                     self.snd_una = seg.ack
@@ -817,30 +835,29 @@ class TcpConnection:
             self._process_ack(seg)
         # 5. Urgent signal (processed before payload so the app can react
         #    to the mark even if it arrives with the data).
-        if seg.urg and seg.urgent:
+        if flags & FLAG_URG and seg.urgent:
             urgent_end = seq_add(seg.seq, seg.urgent)
             if self.rcv_up is None or seq_gt(urgent_end, self.rcv_up):
                 self.rcv_up = urgent_end
                 if self.on_urgent is not None:
-                    ahead = max(0, seq_sub(urgent_end, self.rcv.rcv_next))
-                    self.on_urgent(ahead)
+                    self.on_urgent(max(0, seq_sub(urgent_end, rcv.rcv_next)))
         # 6. Payload.
-        if seg.payload and self.state.can_receive:
-            delivered = self.rcv.accept(seg.seq, seg.payload)
+        if payload and self.state.can_receive:
+            delivered = rcv.accept(seg.seq, payload)
             if delivered:
                 self.stats.bytes_delivered += len(delivered)
                 if self.on_receive is not None:
                     # Push model: the application consumes immediately, so
                     # drain the buffer to keep the advertised window open.
-                    self.rcv.read(len(delivered))
+                    rcv.read(len(delivered))
                     self.on_receive(delivered)
             self._schedule_ack(force=not self.config.delayed_ack
-                               or self.rcv.out_of_order_segments > 0)
-        elif seg.payload:
+                               or rcv.out_of_order_segments > 0)
+        elif payload:
             # Data after we stopped receiving: just ack what we have.
             self._send_ack()
         # 7. FIN.
-        if seg.fin:
+        if flags & FLAG_FIN:
             self._process_fin(seg)
 
     def _process_syn_sent(self, seg: TcpSegment) -> None:
@@ -873,46 +890,19 @@ class TcpConnection:
                 seq=self.iss, ack=self.rcv.rcv_next, flags=FLAG_SYN | FLAG_ACK,
                 window=self.rcv.window, mss_option=self.config.mss))
 
-    def _seq_acceptable(self, seg: TcpSegment) -> bool:
-        """RFC 793 acceptability: the segment occupies sequence space at or
-        beyond RCV.NXT (strictly: its last byte is >= RCV.NXT, i.e. its end
-        is *past* RCV.NXT).  A wholly-old segment — e.g. a retransmitted
-        SYN-ACK whose SYN sits just below the window — must be rejected
-        here and answered with a plain ACK, NOT processed; treating it as
-        acceptable lets its SYN bit trip the 'SYN while synchronized'
-        reset and kill a healthy connection."""
-        rcv_next = self.rcv.rcv_next
-        wnd = max(self.rcv.window, 1)
-        seg_len = seg.seq_space
-        if seg_len == 0:
-            return seq_ge(seg.seq, seq_sub_wrap(rcv_next, 1)) and seq_lt(
-                seg.seq, seq_add(rcv_next, wnd))
-        first_ok = seq_gt(seg.end_seq, rcv_next)
-        last_ok = seq_lt(seg.seq, seq_add(rcv_next, wnd))
-        return first_ok and last_ok
-
-    def _rst_acceptable(self, seg: TcpSegment) -> bool:
-        """RFC 5961-style reset acceptance: the RST's sequence number must
-        fall inside the current receive window ([RCV.NXT, RCV.NXT+WND)).
-        Anything else is a blind forgery or an old duplicate and must not
-        kill the connection."""
-        rcv_next = self.rcv.rcv_next
-        wnd = max(self.rcv.window, 1)
-        return seq_ge(seg.seq, rcv_next) and seq_lt(
-            seg.seq, seq_add(rcv_next, wnd))
-
     def _process_ack(self, seg: TcpSegment) -> None:
         ack = seg.ack
-        if seq_gt(ack, self.snd_max):
+        if seq_sub(ack, self.snd_max) > 0:
             self._send_ack()  # acks data we never sent — resync
             return
-        if seq_gt(ack, self.snd_nxt):
+        if self.snd_nxt != self.snd_max and seq_gt(ack, self.snd_nxt):
             # Legitimate: it covers data sent before a go-back-N pull-back
             # (the receiver had it stashed out of order all along).
             self.snd_nxt = ack
-        if seq_le(ack, self.snd_una):
+        advanced = seq_sub(ack, self.snd_una)
+        if advanced <= 0:
             # Duplicate ack.
-            if (seg.payload or seg.fin or seg.syn):
+            if seg.payload or seg.flags & (FLAG_FIN | FLAG_SYN):
                 return
             if ack == self.snd_una and self.flight_size > 0:
                 self.stats.duplicate_acks += 1
@@ -925,8 +915,8 @@ class TcpConnection:
                 self._try_send()
             return
         # New data acked.
-        advanced = seq_sub(ack, self.snd_una)
         self.snd_una = ack
+        flight = seq_sub(self.snd_nxt, ack)
         self.stats.bytes_acked += advanced
         self._dupacks = 0
         self._retx_pending = 0
@@ -935,20 +925,24 @@ class TcpConnection:
         # and keep the backed-off timer until a VALID sample arrives —
         # resetting on any ack would re-arm a spuriously short timer while
         # queueing delay grows.
-        if self._timed_seq is not None and seq_ge(ack, self._timed_seq):
+        if self._timed_seq is not None and seq_sub(ack, self._timed_seq) >= 0:
             self.rto.sample(self.sim.now - self._timed_at, retransmitted=False)
             self._timed_seq = None
             self.rto.reset_backoff()
         # The urgent mark is consumed once the peer has acked past it.
         if self.snd_up is not None and seq_ge(ack, self.snd_up):
             self.snd_up = None
-        # Trim the stream and boundary records.
-        freed = self.send_buffer.ack_to(min_seq_for_buffer(ack, self._fin_seq))
-        if not self.config.repacketize:
-            self._sent_boundaries = [
-                (s, l) for (s, l) in self._sent_boundaries
-                if seq_gt(seq_add(s, l), ack)
-            ]
+        # Trim the stream and boundary records.  The send buffer holds
+        # stream bytes only: an ack covering our FIN must not trim past the
+        # FIN's (virtual) byte.
+        fin_acked = self._fin_seq is not None and seq_gt(ack, self._fin_seq)
+        freed = self.send_buffer.ack_to(self._fin_seq if fin_acked else ack)
+        boundaries = self._sent_boundaries
+        while boundaries:
+            seq, length = next(iter(boundaries.items()))
+            if seq_gt(seq_add(seq, length), ack):
+                break
+            del boundaries[seq]
         # ECN: the peer is echoing a gateway mark.  Respond like a loss —
         # halve, keep the new threshold — but without the retransmission,
         # and at most once per window of data (RFC 3168 §6.1.2).
@@ -957,7 +951,7 @@ class TcpConnection:
                 and seg.flags & FLAG_ECE):
             if (self._ecn_resp_seq is None
                     or seq_gt(self.snd_una, self._ecn_resp_seq)):
-                self.ssthresh = max(self.flight_size // 2, 2 * self.snd_mss)
+                self.ssthresh = max(flight // 2, 2 * self.snd_mss)
                 self.cwnd = self.ssthresh
                 self._ca_bytes_acked = 0
                 self._ecn_resp_seq = self.snd_nxt
@@ -976,13 +970,12 @@ class TcpConnection:
                     self._ca_bytes_acked -= self.cwnd
                     self.cwnd += self.snd_mss
         self.snd_wnd = seg.window
-        # FIN acked?
-        if self._fin_seq is not None and seq_gt(ack, self._fin_seq):
+        if fin_acked:
             self._fin_acked()
         # Timer management.
-        if self.flight_size == 0 and not self._fin_in_flight():
+        if flight == 0 and not self._fin_in_flight():
             self.retx_timer.stop()
-        elif self.flight_size > 0 or self._fin_in_flight():
+        elif flight > 0 or self._fin_in_flight():
             self.retx_timer.start(self.rto.timeout())
         self._try_send()
         if freed > 0 and self.on_send_ready is not None and not self._fin_queued:
@@ -1046,11 +1039,13 @@ class TcpConnection:
     def _advertised_window(self) -> int:
         """The window we tell the peer, with receiver-SWS avoidance: a
         window too small to be worth a segment is advertised as zero."""
-        raw = min(self.rcv.window, 0xFFFF)
-        if not self.config.sws_avoidance:
+        raw = self.rcv.window
+        if raw > 0xFFFF:
+            raw = 0xFFFF
+        if (not self.config.sws_avoidance or raw >= self.snd_mss
+                or raw >= self.config.recv_buffer // 2):
             return raw
-        threshold = min(self.snd_mss, self.config.recv_buffer // 2)
-        return raw if raw >= threshold else 0
+        return 0
 
     def _send_ack(self) -> None:
         if self.rcv is None:
@@ -1116,11 +1111,3 @@ class TcpConnection:
 def seq_sub_wrap(seq: int, delta: int) -> int:
     """Subtract in sequence space, wrapping at 2**32."""
     return (seq - delta) % (1 << 32)
-
-
-def min_seq_for_buffer(ack: int, fin_seq: Optional[int]) -> int:
-    """The send buffer holds stream bytes only; an ack covering our FIN
-    must not trim past the FIN's (virtual) byte."""
-    if fin_seq is not None and seq_gt(ack, fin_seq):
-        return fin_seq
-    return ack

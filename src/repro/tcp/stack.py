@@ -254,9 +254,10 @@ class TcpStack:
         listener = self._listeners.get(seg.dst_port)
         if listener is not None and not listener.closed and seg.syn and not seg.ack_flag:
             cfg = listener.config or self.config
-            if cfg.max_half_open > 0:
+            if 0 < cfg.max_half_open <= len(listener.half_open):
                 # Embryos that completed the handshake (or died) leave the
-                # backlog lazily; the survivors are the true half-open set.
+                # backlog lazily, when it looks full; the survivors are the
+                # true half-open set.
                 listener.half_open = [
                     c for c in listener.half_open
                     if c.state is TcpState.SYN_RECEIVED]

@@ -8,7 +8,7 @@ valid.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.ip import icmp
 from repro.ip.address import Address
@@ -245,6 +245,7 @@ def test_session_hello_corruption_rejected_or_differs(sid, offset, pos,
        st.integers(min_value=0, max_value=0xFFFF),
        st.integers(min_value=1, max_value=255),
        st.integers(min_value=0, max_value=3_600_000))
+@example(0, 0, 0, 0, 1, 129_778)
 def test_flowspec_round_trip(src, dst, proto, port, weight, life_ms):
     spec = FlowSpec(Address(src), Address(dst), proto, port,
                     weight, life_ms / 1000.0)
@@ -254,8 +255,10 @@ def test_flowspec_round_trip(src, dst, proto, port, weight, life_ms):
     assert (parsed.protocol, parsed.dst_port) == (proto, port)
     assert parsed.weight == weight
     # The wire carries whole milliseconds (truncating int()), so one ms
-    # is the format's honest precision.
-    assert abs(parsed.lifetime - spec.lifetime) <= 0.001
+    # is the format's honest precision — plus the float error of the
+    # subtraction itself (129.778 s packs as 129777 ms and reads back
+    # 0.0010000000000047748 s short).
+    assert abs(parsed.lifetime - spec.lifetime) <= 0.001 + 1e-9
 
 
 @given(st.integers(min_value=0, max_value=0xFFFF))

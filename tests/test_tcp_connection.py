@@ -338,6 +338,27 @@ def test_no_repacketization_resends_original_boundaries(sim):
     assert conn.stats.segments_retransmitted >= 5
 
 
+def test_no_repacketization_boundary_records_are_dropped_as_acked(sim):
+    """E9's policy under loss: go-back-N resends reuse the recorded
+    boundaries, and a record lives only until its segment is acked."""
+    cfg = TcpConfig(repacketize=False)
+    ca, cb, *_ = tcp_pair(sim, loss=BernoulliLoss(0.03), seed=5,
+                          client_config=cfg)
+    conns, data = accept_collect(cb, 80)
+    conn = ca.connect("10.0.1.2", 80)
+    payload = bytes(range(256)) * 200
+    conn.on_established = lambda: conn.send(payload)
+    most = 0
+    while len(data) < len(payload) and sim.now < 600:
+        sim.run(until=sim.now + 0.05)
+        most = max(most, len(conn._sent_boundaries))
+    assert bytes(data) == payload
+    assert conn.stats.segments_retransmitted > 0
+    assert 0 < most <= len(payload) // conn.snd_mss + 1
+    sim.run(until=sim.now + 5)
+    assert not conn._sent_boundaries
+
+
 def test_retransmit_exhaustion_closes_connection(sim):
     loss = BernoulliLoss(0.0)
     cfg = TcpConfig(max_retransmits=3)
