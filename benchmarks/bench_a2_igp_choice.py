@@ -71,8 +71,7 @@ def routing_bytes(procs) -> int:
 def state_held(protocol: str, procs) -> float:
     """Mean routing state per gateway, in comparable byte units."""
     if protocol == "dv":
-        # 6 bytes per vector entry (prefix + metric on the wire).
-        return sum(len(p._entries) * 6 for p in procs.values()) / len(procs)
+        return sum(p.vector_bytes for p in procs.values()) / len(procs)
     return sum(p.lsdb_size_bytes for p in procs.values()) / len(procs)
 
 

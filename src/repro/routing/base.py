@@ -12,18 +12,38 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from ..ip.address import Address, Prefix
+from ..ip.address import Address, AddressError, Prefix
 
 __all__ = ["RouteAdvert", "pack_adverts", "unpack_adverts", "RoutingStats",
-           "INFINITY_METRIC"]
+           "INFINITY_METRIC", "ADVERT", "wire_key", "key_prefix", "iter_adverts"]
 
 #: RIP-style infinity: unreachable.
 INFINITY_METRIC = 16
 
-_ENTRY_FMT = "!4sBB"
-_ENTRY_LEN = struct.calcsize(_ENTRY_FMT)
+#: One advert on the wire, six bytes: the prefix's 5-byte key (4 B network +
+#: length) and the metric.  The protocols work on ``(key, metric)`` pairs;
+#: :class:`RouteAdvert` and the two functions below are the object-level view
+#: of the same struct.
+ADVERT = struct.Struct("!5sB")
+
+
+def wire_key(prefix: Prefix) -> bytes:
+    """The five bytes that name ``prefix`` in an advert."""
+    return prefix.network._value.to_bytes(4, "big") + bytes((prefix.length,))
+
+
+def key_prefix(key: bytes) -> Prefix:
+    """Inverse of :func:`wire_key`; :class:`AddressError` when the length
+    byte exceeds 32 or host bits are set (a key is bytes off the wire)."""
+    return Prefix(Address(int.from_bytes(key[:4], "big")), key[4])
+
+
+def iter_adverts(payload: bytes) -> Iterator[tuple[bytes, int]]:
+    """``(key, metric)`` for each whole advert in ``payload``; a trailing
+    partial advert is ignored (``iter_unpack`` insists on a multiple of six)."""
+    return ADVERT.iter_unpack(payload[:len(payload) - len(payload) % ADVERT.size])
 
 
 @dataclass(frozen=True)
@@ -38,21 +58,18 @@ def pack_adverts(adverts: Iterable[RouteAdvert]) -> bytes:
     """Serialize adverts to the compact wire form (6 bytes each)."""
     out = bytearray()
     for advert in adverts:
-        out.extend(struct.pack(_ENTRY_FMT, advert.prefix.network.to_bytes(),
-                               advert.prefix.length,
-                               min(advert.metric, INFINITY_METRIC)))
+        out += ADVERT.pack(wire_key(advert.prefix),
+                           min(advert.metric, INFINITY_METRIC))
     return bytes(out)
 
 
 def unpack_adverts(data: bytes) -> list[RouteAdvert]:
     """Parse a packed advert list; trailing garbage is ignored."""
     adverts = []
-    for i in range(0, len(data) - _ENTRY_LEN + 1, _ENTRY_LEN):
-        network, length, metric = struct.unpack(_ENTRY_FMT,
-                                                data[i : i + _ENTRY_LEN])
+    for key, metric in iter_adverts(data):
         try:
-            prefix = Prefix(Address.from_bytes(network), length)
-        except Exception:
+            prefix = key_prefix(key)
+        except AddressError:
             continue
         adverts.append(RouteAdvert(prefix, metric))
     return adverts

@@ -2,10 +2,19 @@
 
 This is the IGP of experiment E1/E4: hop-count metrics, periodic full
 updates broadcast on every attached network, split horizon with poisoned
-reverse, triggered updates, route expiry and hold-down.  When a gateway or
-link dies, neighbours time the routes out and the vectors reconverge —
-the network "relearns" the derivable state, which is why datagram
-conversations survive failures that would kill a virtual circuit.
+reverse, triggered updates and route expiry.  A route not refreshed within
+``route_timeout`` is poisoned (advertised at infinity); a poisoned entry takes
+any finite offer at once — there is no hold-down — and is garbage-collected
+after ``gc_timeout``.  When a gateway or link dies, neighbours time the routes
+out and the vectors reconverge — the network "relearns" the derivable state,
+which is why datagram conversations survive failures that would kill a
+virtual circuit.
+
+An advert is six bytes on the wire (:data:`~repro.routing.base.ADVERT`) and
+the protocol works in that form: the table is keyed by the advert's five
+key bytes, receiving is one loop over ``(key, metric)`` pairs and sending
+appends each entry's key and metric.  A ``Prefix`` is built only when a new
+destination is learned.
 
 The protocol runs over UDP port 520 so its overhead crosses the same links
 as user data (and is counted by :class:`~repro.routing.base.RoutingStats`).
@@ -14,25 +23,27 @@ as user data (and is counted by :class:`~repro.routing.base.RoutingStats`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from ..ip.address import Address, Prefix
+from ..ip.address import Address, AddressError, Prefix
 from ..ip.forwarding import Route
 from ..ip.node import Node
 from ..netlayer.link import Interface
 from ..sim.process import PeriodicProcess
 from ..udp.udp import UdpStack
-from .base import INFINITY_METRIC, RouteAdvert, RoutingStats, pack_adverts, unpack_adverts
+from .base import (ADVERT, INFINITY_METRIC, RoutingStats, iter_adverts,
+                   key_prefix, wire_key)
 
 __all__ = ["DistanceVectorRouting", "DV_PORT"]
 
 DV_PORT = 520
 
 
-@dataclass
+@dataclass(slots=True)
 class _DvEntry:
     """Internal protocol state for one destination prefix."""
 
+    key: bytes                      # wire_key(prefix): table key and advert bytes
     prefix: Prefix
     metric: int
     next_hop: Optional[Address]     # None for connected networks
@@ -80,7 +91,8 @@ class DistanceVectorRouting:
         self.poison_reverse = poison_reverse
         self._scope = interfaces  # None = every interface
         self.stats = RoutingStats()
-        self._entries: dict[Prefix, _DvEntry] = {}
+        #: Keyed by wire key; insertion order is the order on the wire.
+        self._entries: dict[bytes, _DvEntry] = {}
         #: Aggregates this router redistributes into the IGP (the EGP
         #: seam); survives crash/restore like static configuration does.
         self._originated: list[tuple[Prefix, int, Optional[Interface]]] = []
@@ -99,19 +111,17 @@ class DistanceVectorRouting:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def active_interfaces(self) -> list[Interface]:
-        """Interfaces this process speaks on (all, unless scoped)."""
-        if self._scope is not None:
-            return list(self._scope)
-        return list(self.node.interfaces)
+    def active_interfaces(self) -> Sequence[Interface]:
+        """Interfaces this process speaks on (all, unless scoped): the live
+        list, not a copy."""
+        return self._scope if self._scope is not None else self.node.interfaces
 
     def start(self) -> None:
         """Load connected networks and begin advertising."""
         self._running = True
         for iface in self.active_interfaces():
-            self._entries[iface.prefix] = _DvEntry(
-                prefix=iface.prefix, metric=0, next_hop=None,
-                interface=iface, last_heard=self.sim.now, connected=True)
+            # A connected network is originated at metric 0.
+            self._add_origination(iface.prefix, 0, iface)
         for prefix, metric, iface in self._originated:
             self._add_origination(prefix, metric, iface)
         self._periodic.start(initial_delay=0.0)
@@ -137,9 +147,11 @@ class DistanceVectorRouting:
     def _add_origination(self, prefix: Prefix, metric: int,
                          interface: Optional[Interface]) -> None:
         iface = interface if interface is not None else self.node.interfaces[0]
-        self._entries[prefix] = _DvEntry(
-            prefix=prefix, metric=metric, next_hop=None, interface=iface,
-            last_heard=self.sim.now, connected=True, origin_metric=metric)
+        key = wire_key(prefix)
+        self._entries[key] = _DvEntry(
+            key=key, prefix=prefix, metric=metric, next_hop=None,
+            interface=iface, last_heard=self.sim.now, connected=True,
+            origin_metric=metric)
 
     def stop(self) -> None:
         self._running = False
@@ -166,13 +178,13 @@ class DistanceVectorRouting:
     def _expire_routes(self) -> None:
         now = self.sim.now
         changed = False
-        for prefix, entry in list(self._entries.items()):
+        for entry in list(self._entries.values()):
             if entry.connected:
                 # Connected routes track interface liveness directly.
                 if not entry.interface.up and entry.metric < INFINITY_METRIC:
                     entry.metric = INFINITY_METRIC
                     entry.poisoned_at = now
-                    self._uninstall(prefix)
+                    self._uninstall(entry.prefix)
                     changed = True
                 elif entry.interface.up and entry.metric >= INFINITY_METRIC:
                     entry.metric = entry.origin_metric
@@ -186,12 +198,12 @@ class DistanceVectorRouting:
                 continue
             if entry.metric >= INFINITY_METRIC:
                 if entry.poisoned_at is not None and now - entry.poisoned_at > self.gc_timeout:
-                    del self._entries[prefix]
+                    del self._entries[entry.key]
                 continue
             if now - entry.last_heard > self.route_timeout:
                 entry.metric = INFINITY_METRIC
                 entry.poisoned_at = now
-                self._uninstall(prefix)
+                self._uninstall(entry.prefix)
                 self.stats.routes_expired += 1
                 changed = True
         if changed and self.triggered_updates:
@@ -204,26 +216,31 @@ class DistanceVectorRouting:
         for iface in self.active_interfaces():
             if not iface.up:
                 continue
-            adverts = self._adverts_for(iface)
-            if not adverts:
+            payload = self._vector_for(iface)
+            if not payload:
                 continue
-            payload = pack_adverts(adverts)
             self.stats.updates_sent += 1
             self.stats.bytes_sent += len(payload)
             self._socket.sendto(payload, iface.prefix.broadcast, DV_PORT,
                                 ttl=1, trace_label="dv-update")
 
-    def _adverts_for(self, iface: Interface) -> list[RouteAdvert]:
-        """Build the vector for one interface, applying split horizon."""
-        adverts = []
+    def _vector_for(self, iface: Interface) -> bytes:
+        """Build the vector for one interface in wire form, applying split
+        horizon: each entry's key and its metric byte."""
+        out = bytearray()
+        poison_reverse = self.poison_reverse
         for entry in self._entries.values():
+            metric = entry.metric
             if entry.interface is iface and not entry.connected:
-                if self.poison_reverse:
-                    # Poisoned reverse: advertise back as unreachable.
-                    adverts.append(RouteAdvert(entry.prefix, INFINITY_METRIC))
-                continue  # plain split horizon: stay silent
-            adverts.append(RouteAdvert(entry.prefix, min(entry.metric, INFINITY_METRIC)))
-        return adverts
+                if not poison_reverse:
+                    continue  # plain split horizon: stay silent
+                # Poisoned reverse: advertise back as unreachable.
+                metric = INFINITY_METRIC
+            elif metric > INFINITY_METRIC:
+                metric = INFINITY_METRIC
+            out += entry.key
+            out.append(metric)
+        return bytes(out)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -237,10 +254,55 @@ class DistanceVectorRouting:
         if iface is None:
             return
         self.stats.updates_received += 1
+        # Bellman-Ford relaxation over the adverts as they arrive: wire key
+        # and metric.  Nearly every advert changes nothing (a connected
+        # prefix, the current next hop repeating itself, a no-better offer),
+        # so those outcomes cost a dict lookup and integer compares.
+        entries = self._entries
+        neighbor = src._value
+        now = self.sim.now
         changed = False
-        for advert in unpack_adverts(payload):
-            if self._consider(advert, src, iface):
-                changed = True
+        for key, advertised in iter_adverts(payload):
+            metric = (advertised + 1 if advertised < INFINITY_METRIC
+                      else INFINITY_METRIC)
+            entry = entries.get(key)
+            if entry is None:
+                if metric >= INFINITY_METRIC:
+                    continue
+                try:
+                    # Bytes off the wire are validated here, where they would
+                    # enter the table; an invalid key matches no entry above.
+                    prefix = key_prefix(key)
+                except AddressError:
+                    continue
+                entry = entries[key] = _DvEntry(
+                    key=key, prefix=prefix, metric=metric, next_hop=src,
+                    interface=iface, last_heard=now)
+            elif entry.connected:
+                continue
+            elif entry.next_hop._value == neighbor:
+                entry.last_heard = now
+                if metric == entry.metric:
+                    continue
+                entry.metric = metric
+                if metric >= INFINITY_METRIC:
+                    # Metrics are clamped to infinity, so a changed metric
+                    # that is infinite means the route was reachable.
+                    entry.poisoned_at = now
+                    self._uninstall(entry.prefix)
+                    changed = True
+                    continue
+                entry.poisoned_at = None
+            elif metric < entry.metric:
+                entry.metric = metric
+                entry.next_hop = src
+                entry.interface = iface
+                entry.last_heard = now
+                entry.poisoned_at = None
+            else:
+                continue
+            self._install(entry)
+            changed = True
         if changed and self.triggered_updates:
             self.stats.triggered_updates += 1
             if self.update_listener is not None:
@@ -252,49 +314,6 @@ class DistanceVectorRouting:
             if iface.prefix.contains(src):
                 return iface
         return None
-
-    def _consider(self, advert: RouteAdvert, neighbor: Address,
-                  iface: Interface) -> bool:
-        """Bellman-Ford relaxation for one advertised destination."""
-        metric = min(advert.metric + 1, INFINITY_METRIC)
-        entry = self._entries.get(advert.prefix)
-        now = self.sim.now
-        if entry is None:
-            if metric >= INFINITY_METRIC:
-                return False
-            entry = _DvEntry(prefix=advert.prefix, metric=metric,
-                             next_hop=neighbor, interface=iface,
-                             last_heard=now)
-            self._entries[advert.prefix] = entry
-            self._install(entry)
-            return True
-        if entry.connected:
-            return False
-        from_current = entry.next_hop == neighbor
-        if from_current:
-            entry.last_heard = now
-            if metric != entry.metric:
-                was_reachable = entry.metric < INFINITY_METRIC
-                entry.metric = metric
-                if metric >= INFINITY_METRIC:
-                    entry.poisoned_at = now
-                    if was_reachable:
-                        self._uninstall(entry.prefix)
-                        return True
-                    return False
-                entry.poisoned_at = None
-                self._install(entry)
-                return True
-            return False
-        if metric < entry.metric:
-            entry.metric = metric
-            entry.next_hop = neighbor
-            entry.interface = iface
-            entry.last_heard = now
-            entry.poisoned_at = None
-            self._install(entry)
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Forwarding-table maintenance
@@ -319,8 +338,13 @@ class DistanceVectorRouting:
         return sum(1 for e in self._entries.values()
                    if e.metric < INFINITY_METRIC)
 
+    @property
+    def vector_bytes(self) -> int:
+        """Bytes of a full vector: every entry held, six bytes each."""
+        return len(self._entries) * ADVERT.size
+
     def metric_to(self, prefix: Prefix) -> int:
-        entry = self._entries.get(prefix)
+        entry = self._entries.get(wire_key(prefix))
         return entry.metric if entry is not None else INFINITY_METRIC
 
     def converged_on(self, prefixes: list[Prefix]) -> bool:

@@ -87,7 +87,9 @@ class PeriodicProcess:
 
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Begin firing; first fire after ``initial_delay`` (default: one
-        interval, plus jitter)."""
+        interval, plus jitter).  Calling it while running restarts the one
+        timer chain from now; it never adds a second."""
+        self.stop()
         self._stopped = False
         delay = initial_delay if initial_delay is not None else self._next_delay()
         self._handle = self._sim.schedule(delay, self._fire, label=self._label)
@@ -107,8 +109,11 @@ class PeriodicProcess:
     def _fire(self) -> None:
         if self._stopped:
             return
+        self._handle = None
         self._callback()
-        if not self._stopped:
+        # The callback may have stopped the process, or restarted it (then
+        # the next fire is already scheduled).
+        if not self._stopped and self._handle is None:
             self._handle = self._sim.schedule(
                 self._next_delay(), self._fire, label=self._label
             )

@@ -11,11 +11,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.ip import icmp
-from repro.ip.address import Address
+from repro.ip.address import Address, Prefix
+from repro.ip.node import Node
 from repro.ip.packet import Datagram, HeaderError
+from repro.netlayer.link import Interface
 from repro.netmgmt import protocol as mgmt_proto
-from repro.routing.base import unpack_adverts
+from repro.routing.base import unpack_adverts, wire_key
+from repro.routing.distance_vector import DV_PORT, DistanceVectorRouting
 from repro.routing.link_state import _Lsa
+from repro.sim.engine import Simulator
 from repro.tcp.segment import SegmentError, TcpSegment
 from repro.udp import udp as udp_mod
 from repro.flows.flowspec import FlowSpec
@@ -62,6 +66,28 @@ def test_icmp_parser_never_crashes(data):
 def test_dv_advert_parser_never_crashes(data):
     adverts = unpack_adverts(data)
     assert isinstance(adverts, list)
+
+
+@given(st.binary(max_size=256))
+@example(b"\x0a\x09\x04\x01\x18\x01")      # 10.9.4.1/24: host bits set
+@example(b"\x0a\x09\x04\x00\x21\x01")      # length byte 33
+@example(b"\x0a\x09\x04\x00\x18\x01\xff")  # one whole advert + a stray byte
+def test_live_dv_process_survives_arbitrary_updates(data):
+    """The parser the protocol actually runs is the relaxation loop of
+    ``_update_received``: whatever a neighbour sends, it never raises and
+    never installs a route whose prefix ``Prefix`` would refuse."""
+    node = Node("R", Simulator(), is_gateway=True)
+    subnet = Prefix.parse("10.0.0.0/24")
+    node.add_interface(Interface("r0", subnet.host(1), subnet))
+    proc = DistanceVectorRouting(node, udp_mod.UdpStack(node))
+    proc.start()
+    proc._update_received(data, subnet.host(2), DV_PORT)
+    whole = [data[i:i + 5] for i in range(0, len(data) - 5, 6)]
+    for route in node.routes.routes():
+        assert Prefix(route.prefix.network, route.prefix.length) == route.prefix
+        if route.source == "dv":
+            assert wire_key(route.prefix) in whole
+    assert len(node.routes) <= 1 + len(whole)
 
 
 @given(st.binary(max_size=256))

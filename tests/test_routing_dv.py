@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.topology import Internet
 from repro.ip.address import Address, Prefix
 from repro.ip.node import Node
 from repro.ip.packet import PROTO_UDP
@@ -141,6 +142,24 @@ def test_stats_accumulate(sim):
     assert procs[0].stats.updates_sent > 0
     assert procs[0].stats.updates_received > 0
     assert procs[0].stats.bytes_sent > 0
+
+
+@pytest.mark.parametrize("stray_restores", [0, 1, 2])
+def test_stray_restore_does_not_multiply_updates(stray_restores):
+    """``Node.restore()`` on a node that is not down (two overlapping
+    crash faults revert twice) re-runs ``start()``; the periodic chain is
+    restarted, never doubled."""
+    net = Internet(seed=7)
+    a = net.gateway("A")
+    net.connect(a, net.gateway("B"))
+    net.start_routing(protocol="dv", period=2.0)
+    net.converge(settle=10.0)
+    for _ in range(stray_restores):
+        a.node.restore()
+    stats = net.routing["A"].stats
+    before = stats.updates_sent
+    net.sim.run(until=net.sim.now + 20.0)
+    assert stats.updates_sent - before == 11
 
 
 def test_advert_wire_round_trip():

@@ -124,3 +124,28 @@ def test_periodic_running_property(sim):
     assert proc.running
     proc.stop()
     assert not proc.running
+
+
+def test_periodic_start_while_running_keeps_one_chain(sim):
+    fired = []
+    proc = PeriodicProcess(sim, 1.0, lambda: fired.append(sim.now))
+    proc.start()
+    proc.start()                       # at once: still one fire per interval
+    sim.schedule(2.5, proc.start)      # mid-interval: the chain restarts here
+    sim.run(until=6.0)
+    assert fired == [1.0, 2.0, 3.5, 4.5, 5.5]
+
+
+def test_periodic_start_from_callback_keeps_one_chain(sim):
+    fired = []
+    proc = PeriodicProcess(sim, 1.0, lambda: None)
+
+    def cb():
+        fired.append(sim.now)
+        if len(fired) == 2:
+            proc.start(initial_delay=0.5)
+
+    proc._callback = cb
+    proc.start()
+    sim.run(until=5.0)
+    assert fired == [1.0, 2.0, 2.5, 3.5, 4.5]
