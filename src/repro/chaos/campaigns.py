@@ -117,12 +117,12 @@ def run_observed(seed: int, size: str) -> CampaignReport:
     print()
     # Control-plane attribution: node.send() counts every labeled origin
     # (routing updates, path probes) that used to ride unattributed.
-    control = obs.registry.counters_matching("control_plane_origins{")
+    control = sorted((labels["kind"], count) for labels, count
+                     in obs.registry.counters("control_plane_origins"))
     if control:
         print("== control-plane traffic (labeled originations) ==")
-        for key in sorted(control):
-            kind = key.split("kind=", 1)[1].rstrip("}")
-            print(f"  {kind:<14} {control[key]}")
+        for kind, count in control:
+            print(f"  {kind:<14} {count}")
         print()
     ids = obs.spans.trace_ids()
     if ids:

@@ -282,15 +282,14 @@ class Node:
         self.stats.bytes_originated += datagram.total_length
         obs = self.obs
         if obs is not None and obs.enabled:
-            datagram.trace_id = obs.next_trace_id()
-            detail = (f"{datagram.src}->{datagram.dst} proto={datagram.protocol} "
-                      f"len={datagram.total_length}")
+            # Span details are (format, *values): rendered when read.
+            detail = ("%s->%s proto=%s len=%s", src, dst_addr, protocol,
+                      IP_HEADER_LEN + len(payload))
             if trace_label is not None:
-                detail = f"[{trace_label}] {detail}"
+                detail = ("[%s] " + detail[0], trace_label, *detail[1:])
                 obs.registry.counter(
                     "control_plane_origins", kind=trace_label).inc()
-            obs.hop(self.sim.now, self.name, "origin", "originated", datagram,
-                    detail)
+            obs.origin(self.sim.now, self.name, datagram, detail)
         return self._output(datagram, originating=True, route=route)
 
     def send_datagram(self, datagram: Datagram) -> bool:
@@ -308,10 +307,9 @@ class Node:
         self.stats.bytes_originated += datagram.total_length
         obs = self.obs
         if obs is not None and obs.enabled and datagram.trace_id == 0:
-            datagram.trace_id = obs.next_trace_id()
-            obs.hop(self.sim.now, self.name, "origin", "originated", datagram,
-                    f"{datagram.src}->{datagram.dst} proto={datagram.protocol} "
-                    f"len={datagram.total_length}")
+            obs.origin(self.sim.now, self.name, datagram,
+                       ("%s->%s proto=%s len=%s", datagram.src, datagram.dst,
+                        datagram.protocol, datagram.total_length))
         return self._output(datagram, originating=True)
 
     def route_and_source(self, dst: Address) -> tuple[Optional[Route], Address]:
@@ -390,7 +388,7 @@ class Node:
             # Fragments inherit the parent's trace id via copy(), so
             # the journey records the split and stays whole across it.
             obs.hop(self.sim.now, self.name, "forward", "fragmented",
-                    datagram, f"{len(pieces)} pieces, mtu={mtu}")
+                    datagram, ("%s pieces, mtu=%s", len(pieces), mtu))
         for piece in pieces:
             iface.output(piece, next_hop)
         return True
@@ -455,7 +453,7 @@ class Node:
             self.stats.bytes_forwarded += IP_HEADER_LEN + len(forwarded.payload)
             if obs is not None:
                 obs.hop(self.sim.now, self.name, "forward", "forwarded",
-                        forwarded, f"ttl={forwarded.ttl}")
+                        forwarded, ("ttl=%s", forwarded.ttl))
 
     def _maybe_redirect(self, datagram: Datagram, iface_in: Interface,
                         route: Route) -> None:
@@ -492,7 +490,8 @@ class Node:
         self.stats.bytes_delivered += completed.total_length
         obs = self.obs
         if obs is not None and obs.enabled:
-            detail = (f"reassembled from fragments ({completed.total_length} B)"
+            detail = (("reassembled from fragments (%s B)",
+                       completed.total_length)
                       if completed is not datagram else "")
             obs.hop(self.sim.now, self.name, "deliver", "delivered",
                     completed, detail)

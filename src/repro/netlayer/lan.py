@@ -117,11 +117,9 @@ class LanBus:
         arrival = start + tx_time + self.delay
         obs = _obs_of(iface)
         if obs is not None and iface.node is not None:
-            obs.link_hop(self.sim.now, iface.node.name, datagram,
-                         queue_wait=start - self.sim.now,
-                         serialization=tx_time,
-                         propagation=self.delay,
-                         detail=self.name)
+            now = self.sim.now
+            obs.link_hop(now, iface.node.name, datagram, start - now,
+                         tx_time, self.delay, self.name)
         self.sim.post_at(
             arrival,
             partial(self._arrive, iface, target, datagram, self._epoch),

@@ -294,11 +294,9 @@ class PointToPointLink:
         if obs is not None and iface.node is not None:
             # Dwell breakdown: time waiting behind earlier frames, time on
             # the serializer, time in flight (propagation + jitter).
-            obs.link_hop(self.sim.now, iface.node.name, datagram,
-                         queue_wait=start - self.sim.now,
-                         serialization=tx_time,
-                         propagation=arrival - start - tx_time,
-                         detail=self.name)
+            now = self.sim.now
+            obs.link_hop(now, iface.node.name, datagram, start - now,
+                         tx_time, arrival - start - tx_time, self.name)
         # Fire-and-forget: packet arrivals are never cancelled, so they
         # need no handle (and a partial fires without a frame of its own).
         self.sim.post_at(

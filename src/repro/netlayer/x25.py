@@ -100,11 +100,9 @@ class X25Subnet(PointToPointLink):
         if obs is not None and iface.node is not None:
             # Internal retransmission delay shows up as "propagation": the
             # subnet converted loss into extra in-flight time.
-            obs.link_hop(self.sim.now, iface.node.name, datagram,
-                         queue_wait=start - self.sim.now,
-                         serialization=tx_time,
-                         propagation=arrival - start - tx_time,
-                         detail=self.name)
+            now = self.sim.now
+            obs.link_hop(now, iface.node.name, datagram, start - now,
+                         tx_time, arrival - start - tx_time, self.name)
         self.sim.post_at(
             arrival,
             partial(self._arrive, iface, self.other_end(iface), datagram,

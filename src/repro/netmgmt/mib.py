@@ -254,13 +254,7 @@ def build_mib(node: Node, *, udp=None, tcp=None) -> MibTree:
     obs = getattr(node, "obs", None)
     if obs is not None:
         def _drops_total(obs=obs, name=node.name):
-            # "node=G1," and "node=G1}" but never "node=G10...".
-            series = "ip_drops{node=" + name
-            end = len(series)
-            return sum(
-                value for key, value
-                in obs.registry.counters_matching(series).items()
-                if key[end] in ",}")
+            return obs.registry.counter_total("ip_drops", node=name)
 
         tree.add("metrics.ip_drops_total", _drops_total)
 

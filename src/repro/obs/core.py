@@ -6,9 +6,9 @@ ties the three surfaces together:
 * **trace contexts** — every datagram is stamped with a cheap,
   monotonically allocated trace id at origination (it rides the
   ``Datagram.trace_id`` field, surviving fragmentation and reassembly
-  because fragments are ``copy()``-derived), and each hop appends a
-  :class:`~repro.obs.spans.HopSpan` into the bounded per-net
-  :class:`~repro.obs.spans.SpanStore`;
+  because fragments are ``copy()``-derived), and each hop records one row
+  in the bounded per-net :class:`~repro.obs.spans.SpanStore`, which
+  builds :class:`~repro.obs.spans.HopSpan` objects when a journey is read;
 * **metrics** — a :class:`~repro.obs.registry.MetricsRegistry` holding
   labeled counters/histograms plus every component's ad-hoc stats object
   enrolled through the ``register`` adapter;
@@ -18,8 +18,10 @@ ties the three surfaces together:
 Cost discipline: every hook in the packet path is guarded by
 ``obs is not None and obs.enabled``; with no Observability installed the
 stack pays one attribute load per guard, and with it installed but
-*disabled* one extra boolean check — measured at <=5% on the fast-path
-benchmark (``benchmarks/bench_obs.py``).
+*disabled* one extra boolean check (gated at <=1.05x by
+``benchmarks/bench_obs.py``).  Enabled, a span costs two Python frames
+here — the hook method and :meth:`SpanStore.record` — and nothing is
+formatted until it is read (DESIGN §10, "The per-span budget").
 
 Determinism: trace ids are allocated in event order, spans record only
 simulation time, and :meth:`snapshot` exports only sim-deterministic
@@ -29,7 +31,7 @@ reports with observability embedded stay byte-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from .profile import SimProfiler
 from .registry import MetricsRegistry
@@ -49,7 +51,9 @@ class Observability:
                  profile: bool = True):
         self.enabled = enabled
         self.spans = SpanStore(max_traces=max_traces)
+        self._record = self.spans.record
         self.registry = MetricsRegistry(enabled=enabled)
+        self._queue_wait = None  # the link dwell histogram, once used
         self.profiler: Optional[SimProfiler] = SimProfiler() if profile else None
         self._next_id = 1
         self._sim = None  # set by install(); lets enable/disable swap the profiler
@@ -76,55 +80,57 @@ class Observability:
     # ------------------------------------------------------------------
     # Trace contexts
     # ------------------------------------------------------------------
-    def next_trace_id(self) -> int:
-        """Allocate the next trace id (monotonic, event-order deterministic)."""
-        tid = self._next_id
-        self._next_id += 1
-        return tid
-
     @property
     def trace_ids_allocated(self) -> int:
         return self._next_id - 1
 
     # ------------------------------------------------------------------
-    # Span recording (hot path; every caller pre-checks ``enabled``)
+    # Span recording (hot path).  The caller's guard is the one place
+    # ``enabled`` is checked: these record whenever they are called.
+    # ``detail`` follows the :meth:`SpanStore.record` rule — a ``str`` or
+    # a ``(format, *args)`` of values captured now, never the datagram.
     # ------------------------------------------------------------------
+    def origin(self, time: float, node: str, datagram: "Datagram",
+               detail: Union[str, tuple] = "") -> None:
+        """Stamp ``datagram`` with the next trace id (monotonic, allocated
+        in event order) and open its journey.  One step, so a journey
+        always enters the store at its origin and in id order — what lets
+        the store tell a late span from a new journey."""
+        tid = datagram.trace_id = self._next_id
+        self._next_id = tid + 1
+        self._record(tid, time, node, "origin", "originated", detail)
+
     def hop(self, time: float, node: str, kind: str, verdict: str,
-            datagram: "Datagram", detail: str = "", *,
-            queue_wait: float = 0.0, serialization: float = 0.0,
-            propagation: float = 0.0) -> None:
+            datagram: "Datagram", detail: Union[str, tuple] = "") -> None:
         """Append one span to the datagram's journey (no-op untraced)."""
-        if not self.enabled:
-            return
         tid = datagram.trace_id
-        if not tid:
-            return
-        self.spans.append(HopSpan(tid, time, node, kind, verdict, detail,
-                                  queue_wait, serialization, propagation))
+        if tid:
+            self._record(tid, time, node, kind, verdict, detail)
 
     def drop(self, time: float, node: str, reason: str,
-             datagram: "Datagram", detail: str = "") -> None:
+             datagram: "Datagram", detail: Union[str, tuple] = "") -> None:
         """Record a drop verdict span *and* bump the labeled drop counter
         (the accountability ledger of why packets die, per node)."""
-        if not self.enabled:
-            return
         self.registry.counter("ip_drops", node=node, reason=reason).inc()
         tid = datagram.trace_id
         if tid:
-            self.spans.append(HopSpan(tid, time, node, "drop", reason, detail))
+            self._record(tid, time, node, "drop", reason, detail)
 
     def link_hop(self, time: float, node: str, datagram: "Datagram",
-                 *, queue_wait: float, serialization: float,
-                 propagation: float, detail: str = "") -> None:
+                 queue_wait: float, serialization: float,
+                 propagation: float, detail: Union[str, tuple] = "") -> None:
         """Record a transmission span with the dwell-time breakdown."""
-        if not self.enabled:
-            return
         tid = datagram.trace_id
         if tid:
-            self.spans.append(HopSpan(
-                tid, time, node, "link", "transmitted", detail,
-                queue_wait, serialization, propagation))
-        self.registry.histogram("link_queue_wait_seconds").observe(queue_wait)
+            self._record(tid, time, node, "link", "transmitted", detail,
+                         queue_wait, serialization, propagation)
+        histogram = self._queue_wait
+        if histogram is None:
+            # Looked up on the first transmission, not at construction: an
+            # instrument exists in the export only once something used it.
+            histogram = self._queue_wait = self.registry.histogram(
+                "link_queue_wait_seconds")
+        histogram.observe(queue_wait)
 
     # ------------------------------------------------------------------
     # Journey queries

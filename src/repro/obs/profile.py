@@ -26,18 +26,25 @@ class SimProfiler:
 
     def __init__(self):
         self._by_label: dict[str, list] = {}   # label -> [count, wall]
-        self.events = 0
-        self.wall = 0.0
 
     def record(self, label: str, wall: float) -> None:
-        """Called by the engine after each fired event (hot: keep cheap)."""
+        """Called by the engine after each fired event (hot: keep cheap —
+        the per-label pair is all it stores; totals are sums over it)."""
         entry = self._by_label.get(label)
         if entry is None:
             entry = self._by_label[label] = [0, 0.0]
         entry[0] += 1
         entry[1] += wall
-        self.events += 1
-        self.wall += wall
+
+    @property
+    def events(self) -> int:
+        """Events fired while installed."""
+        return sum(count for count, _ in self._by_label.values())
+
+    @property
+    def wall(self) -> float:
+        """Wall seconds spent inside those events."""
+        return sum(wall for _, wall in self._by_label.values())
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -89,5 +96,3 @@ class SimProfiler:
 
     def clear(self) -> None:
         self._by_label.clear()
-        self.events = 0
-        self.wall = 0.0

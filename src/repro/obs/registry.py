@@ -20,9 +20,12 @@ adds the production-shaped layer on top:
   no-op instrument, so instrumented hot paths pay an attribute check and
   nothing else.
 
-Exports are canonicalizable dicts (sorted label keys, stable series
-names), so same-seed runs serialize byte-identically through
-:func:`repro.metrics.export.canonical_json`.
+An instrument *is* its ``(name, labels)``; the ``name{k=v,...}`` series
+string is how it is exported.  Lookups on the packet path key on the
+structure (one tuple, one ``dict.get``) and the string is formatted once
+per instrument per export.  Exports are canonicalizable dicts (sorted
+label keys, stable series names), so same-seed runs serialize
+byte-identically through :func:`repro.metrics.export.canonical_json`.
 """
 
 from __future__ import annotations
@@ -160,11 +163,13 @@ class _NullInstrument:
 _NULL = _NullInstrument()
 
 
-def _series(name: str, labels: dict) -> str:
-    """Stable series key: ``name{k=v,...}`` with sorted label keys."""
+def _series(key: tuple) -> str:
+    """Export name of the instrument keyed ``(name, labels)``:
+    ``name{k=v,...}`` with sorted label keys."""
+    name, labels = key
     if not labels:
         return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels))
     return f"{name}{{{inner}}}"
 
 
@@ -179,9 +184,10 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
+        # Keyed (name, frozenset(labels.items())), in order of first use.
+        self._counters: dict[tuple, Counter] = {}
+        self._gauges: dict[tuple, Gauge] = {}
+        self._histograms: dict[tuple, Histogram] = {}
         self._registered: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -190,7 +196,7 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: str) -> Counter:
         if not self.enabled:
             return _NULL  # type: ignore[return-value]
-        key = _series(name, labels)
+        key = (name, frozenset(labels.items()))
         inst = self._counters.get(key)
         if inst is None:
             inst = self._counters[key] = Counter()
@@ -199,7 +205,7 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         if not self.enabled:
             return _NULL  # type: ignore[return-value]
-        key = _series(name, labels)
+        key = (name, frozenset(labels.items()))
         inst = self._gauges.get(key)
         if inst is None:
             inst = self._gauges[key] = Gauge()
@@ -210,7 +216,7 @@ class MetricsRegistry:
                   **labels: str) -> Histogram:
         if not self.enabled:
             return _NULL  # type: ignore[return-value]
-        key = _series(name, labels)
+        key = (name, frozenset(labels.items()))
         inst = self._histograms.get(key)
         if inst is None:
             inst = self._histograms[key] = Histogram(bounds)
@@ -250,26 +256,28 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Aggregation / export
     # ------------------------------------------------------------------
-    def counter_total(self, name: str) -> int:
-        """Sum of a counter across all label combinations."""
-        prefix = name + "{"
-        return sum(c.value for k, c in self._counters.items()
-                   if k == name or k.startswith(prefix))
+    def counters(self, name: str):
+        """``(labels, value)`` of every ``name`` counter, in order of
+        first use; ``labels`` is a fresh dict."""
+        for (series, labels), counter in self._counters.items():
+            if series == name:
+                yield dict(labels), counter.value
 
-    def counters_matching(self, prefix: str) -> dict[str, int]:
-        """Current value of every counter series whose key (``name`` or
-        ``name{label=value,...}``) starts with ``prefix``."""
-        return {key: counter.value
-                for key, counter in self._counters.items()
-                if key.startswith(prefix)}
+    def counter_total(self, name: str, **labels: str) -> int:
+        """Sum of the ``name`` counters whose labels include ``labels``
+        (all of them when none are given)."""
+        wanted = labels.items()
+        return sum(value for held, value in self.counters(name)
+                   if wanted <= held.items())
 
     def to_dict(self) -> dict:
         """A canonicalizable snapshot of every instrument and every
         registered stats object (live values, taken now)."""
         return {
-            "counters": {k: c.value for k, c in self._counters.items()},
-            "gauges": {k: g.value for k, g in self._gauges.items()},
-            "histograms": {k: h.to_dict()
+            "counters": {_series(k): c.value
+                         for k, c in self._counters.items()},
+            "gauges": {_series(k): g.value for k, g in self._gauges.items()},
+            "histograms": {_series(k): h.to_dict()
                            for k, h in self._histograms.items()},
             "registered": {name: self._snapshot(obj)
                            for name, obj in self._registered.items()},
@@ -279,12 +287,12 @@ class MetricsRegistry:
         """Counters rendered as a harness table (largest first)."""
         from ..harness.tables import Table
         table = Table("metrics registry: counters", ["series", "value"])
-        rows = sorted(self._counters.items(),
-                      key=lambda kv: (-kv[1].value, kv[0]))
+        rows = sorted(((_series(k), c.value) for k, c in self._counters.items()),
+                      key=lambda row: (-row[1], row[0]))
         if limit:
             rows = rows[:limit]
-        for key, counter in rows:
-            table.add(key, counter.value)
+        for series, value in rows:
+            table.add(series, value)
         return table
 
     def __len__(self) -> int:

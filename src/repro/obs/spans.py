@@ -18,9 +18,16 @@ Spans for one trace id, ordered by time, are the packet's *journey* — the
 artifact a chaos invariant violation attaches so the report can name the
 exact path and dwell times of the offending packet, end to end.
 
-The :class:`SpanStore` is bounded per net: when more than ``max_traces``
-distinct trace ids are held, whole oldest journeys are evicted (counted),
-so steady-state traffic cannot grow memory without bound.
+Recording and reading are priced separately, because nearly every journey
+is evicted unread.  The :class:`SpanStore` holds a span as a plain row —
+the nine :class:`HopSpan` fields as a tuple, its detail possibly still an
+unrendered ``(format, *args)`` — and builds ``HopSpan`` objects only when
+somebody asks for a journey or an export (DESIGN §10, "The per-span
+budget").
+
+The store is bounded per net: when more than ``max_traces`` distinct trace
+ids are held, whole oldest journeys are evicted (counted), so steady-state
+traffic cannot grow memory without bound.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Optional, Union
 
 __all__ = ["HopSpan", "SpanStore"]
@@ -78,12 +85,25 @@ class HopSpan:
         return " ".join(parts)
 
 
+def _span(row: tuple) -> HopSpan:
+    """The readable form of one stored row (renders a deferred detail)."""
+    detail = row[5]
+    if type(detail) is tuple:
+        row = (*row[:5], detail[0] % detail[1:], *row[6:])
+    return HopSpan(*row)
+
+
 class SpanStore:
     """Bounded per-net store of hop spans, grouped by trace id.
 
     Eviction is journey-granular and oldest-first (insertion order of the
     trace id), which keeps every *retained* journey complete — a journey
-    with holes would mis-attribute where the packet spent its time.
+    with holes would mis-attribute where the packet spent its time.  Trace
+    ids are allocated monotonically, so the newest evicted id is all it
+    takes to recognise a span that arrives after its journey was evicted
+    (a datagram parked in a queue, a reassembly timeout): it is refused and
+    counted as ``spans_late`` instead of evicting a complete journey to
+    resurrect a headless one.
     """
 
     #: Safety valve: a single pathological journey (e.g. a forwarding loop)
@@ -91,31 +111,56 @@ class SpanStore:
     MAX_SPANS_PER_TRACE = 256
 
     def __init__(self, max_traces: int = 4096):
+        if max_traces < 1:
+            raise ValueError(f"max_traces must be at least 1, got {max_traces}")
         self.max_traces = max_traces
-        self._journeys: "OrderedDict[int, list[HopSpan]]" = OrderedDict()
+        self._journeys: "OrderedDict[int, list[tuple]]" = OrderedDict()
+        self._newest_evicted = 0
         self.spans_recorded = 0
         self.traces_evicted = 0
         self.spans_truncated = 0
+        self.spans_late = 0
 
-    def append(self, span: HopSpan) -> None:
-        journey = self._journeys.get(span.trace_id)
+    def record(self, trace_id: int, time: float, node: str, kind: str,
+               verdict: str, detail: Union[str, tuple] = "",
+               queue_wait: float = 0.0, serialization: float = 0.0,
+               propagation: float = 0.0) -> None:
+        """Store one span as a row: the hot entry point, called positionally.
+
+        ``detail`` is a ``str`` or a ``(format, *args)`` tuple that is
+        rendered with ``%`` only when the span is read.  The args must be
+        *values captured at record time* — ints, ``str``, the never-mutated
+        ``Address`` — and never the ``Datagram`` itself, whose ``ttl`` and
+        ``tos`` keep changing after the hook returns: a row that held the
+        datagram would describe where the packet ended up, not what this
+        hop saw.
+        """
+        journey = self._journeys.get(trace_id)
         if journey is None:
+            if trace_id <= self._newest_evicted:
+                self.spans_late += 1
+                return
             if len(self._journeys) >= self.max_traces:
-                self._journeys.popitem(last=False)
+                self._newest_evicted = self._journeys.popitem(last=False)[0]
                 self.traces_evicted += 1
-            journey = self._journeys[span.trace_id] = []
+            journey = self._journeys[trace_id] = []
         if len(journey) >= self.MAX_SPANS_PER_TRACE:
             self.spans_truncated += 1
             return
-        journey.append(span)
+        journey.append((trace_id, time, node, kind, verdict, detail,
+                        queue_wait, serialization, propagation))
         self.spans_recorded += 1
+
+    def append(self, span: HopSpan) -> None:
+        """Store an already-built :class:`HopSpan`."""
+        self.record(*astuple(span))
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def journey(self, trace_id: int) -> list[HopSpan]:
         """Every span recorded for ``trace_id``, in recording order."""
-        return list(self._journeys.get(trace_id, ()))
+        return [_span(row) for row in self._journeys.get(trace_id, ())]
 
     def journey_lines(self, trace_id: int) -> list[str]:
         """The journey rendered as human-readable hop lines."""
@@ -130,7 +175,7 @@ class SpanStore:
 
     def __iter__(self) -> Iterable[HopSpan]:
         for journey in self._journeys.values():
-            yield from journey
+            yield from map(_span, journey)
 
     # ------------------------------------------------------------------
     # Export
@@ -160,4 +205,5 @@ class SpanStore:
             "spans_recorded": self.spans_recorded,
             "traces_evicted": self.traces_evicted,
             "spans_truncated": self.spans_truncated,
+            "spans_late": self.spans_late,
         }

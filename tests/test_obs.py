@@ -216,6 +216,59 @@ def test_registry_labeled_counters_and_totals():
     assert snap["drops{node=B,reason=queue}"] == 3
 
 
+def test_counter_total_filters_on_labels_not_on_strings():
+    reg = MetricsRegistry()
+    reg.counter("ip_drops", node="G1", reason="drop-ttl").inc(2)
+    reg.counter("ip_drops", node="G1", reason="drop-df").inc(3)
+    reg.counter("ip_drops", node="G10", reason="drop-ttl").inc(40)
+    reg.counter("ip_drops").inc(500)                 # no labels at all
+    reg.counter("ip_drops_other", node="G1").inc(6000)
+    assert reg.counter_total("ip_drops", node="G1") == 5       # never G10
+    assert reg.counter_total("ip_drops", node="G10") == 40
+    assert reg.counter_total("ip_drops", reason="drop-ttl") == 42
+    assert reg.counter_total("ip_drops", reason="drop-ttl", node="G1") == 2
+    assert reg.counter_total("ip_drops") == 545
+    assert reg.counter_total("ip_drops", node="G2") == 0
+    assert reg.counter_total("ip_drops", colour="red") == 0    # unknown label
+    assert reg.counter_total("nothing") == 0
+    assert list(reg.counters("ip_drops_other")) == [({"node": "G1"}, 6000)]
+    assert [labels for labels, _ in reg.counters("ip_drops")][-1] == {}
+
+
+def test_series_names_are_an_export_format():
+    """Label order at the call site names the same instrument, and the
+    export keeps order of first use with sorted label keys."""
+    reg = MetricsRegistry()
+    reg.counter("seg", node="B", direction="out").inc()
+    reg.counter("seg", direction="out", node="B").inc()
+    reg.counter("seg", node="A", direction="in").inc()
+    reg.gauge("depth", iface="x").set(3.0)
+    reg.histogram("wait", link="l1").observe(0.5)
+    exported = reg.to_dict()
+    assert list(exported["counters"].items()) == [
+        ("seg{direction=out,node=B}", 2), ("seg{direction=in,node=A}", 1)]
+    assert exported["gauges"] == {"depth{iface=x}": 3.0}
+    assert list(exported["histograms"]) == ["wait{link=l1}"]
+    assert "seg{direction=out,node=B}" in reg.table().render()
+
+
+def test_mib_drops_total_is_the_sum_of_the_nodes_drop_series():
+    from repro.netmgmt.mib import build_mib
+    net, h1, h2, g1, g2, obs = observed_line()
+    g10 = net.gateway("G10")                     # a name G1 is a prefix of
+    obs.registry.counter("ip_drops", node="G10", reason="drop-ttl").inc(7)
+    h1.node.send("203.0.113.5", PROTO_UDP, b"nowhere")           # no route
+    h1.node.send(h2.node.address, PROTO_UDP, b"expires", ttl=1)  # dies at G1
+    net.sim.run(until=net.sim.now + 2.0)
+    by_reason = {labels["reason"]: value
+                 for labels, value in obs.registry.counters("ip_drops")
+                 if labels["node"] == "G1"}
+    assert by_reason == {"drop-no-route": 1, "drop-ttl": 1}
+    assert build_mib(g1.node).get("metrics.ip_drops_total") == 2
+    assert build_mib(g10.node).get("metrics.ip_drops_total") == 7
+    assert build_mib(g2.node).get("metrics.ip_drops_total") == 0
+
+
 def test_registry_histogram_buckets_and_quantiles():
     reg = MetricsRegistry()
     h = reg.histogram("dwell")
@@ -296,6 +349,54 @@ def test_span_store_evicts_whole_oldest_journeys():
     assert len(store.journey(2)) == 2      # retained journeys stay whole
 
 
+def test_late_span_neither_evicts_nor_resurrects():
+    """A span for a journey that was already evicted (a datagram parked in
+    a queue, a reassembly timeout) used to re-create it headless and evict
+    the oldest complete journey to make room."""
+    store = SpanStore(max_traces=2)
+    for tid in (1, 2, 3):
+        store.append(HopSpan(tid, 0.0, "H", "origin", "originated"))
+    assert store.trace_ids() == [2, 3] and store.traces_evicted == 1
+    store.append(span(1, 9.0))                    # late: journey 1 is gone
+    assert store.trace_ids() == [2, 3]
+    assert store.journey(1) == []
+    assert [s.kind for s in store.journey(2)] == ["origin"]
+    assert store.counters() == {
+        "traces_held": 2, "spans_recorded": 3, "traces_evicted": 1,
+        "spans_truncated": 0, "spans_late": 1}
+    store.append(span(3, 9.5))                    # a held journey still grows
+    store.append(span(4))                         # and a new one still evicts
+    assert store.trace_ids() == [3, 4] and len(store.journey(3)) == 2
+    assert store.spans_late == 1 and store.traces_evicted == 2
+
+
+def test_span_store_needs_room_for_one_journey():
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            SpanStore(max_traces=bad)
+        with pytest.raises(ValueError):
+            Internet(seed=1).observe(max_traces=bad)
+    store = SpanStore(max_traces=1)
+    store.append(span(1))
+    store.append(span(2))
+    assert store.trace_ids() == [2]
+
+
+def test_detail_is_rendered_when_read_from_values_captured_at_record():
+    net, h1, h2, g1, g2, obs = observed_line()
+    d = Datagram(src=h1.node.address, dst=h2.node.address,
+                 protocol=PROTO_UDP, payload=b"z", ttl=9)
+    obs.origin(1.0, "H1", d, ("[%s] %s->%s", "100% label", d.src, d.dst))
+    obs.hop(2.0, "G1", "forward", "forwarded", d, ("ttl=%s", d.ttl))
+    obs.hop(3.0, "G1", "forward", "forwarded", d, "plain %s text")
+    d.ttl, d.src = 1, d.dst              # the datagram moves on; rows do not
+    details = [s.detail for s in obs.journey(d.trace_id)]
+    assert details == [f"[100% label] {h1.node.address}->{h2.node.address}",
+                       "ttl=9", "plain %s text"]
+    assert obs.journey(d.trace_id) == obs.journey(d.trace_id)   # re-readable
+    assert all(isinstance(s, HopSpan) for s in obs.spans)
+
+
 def test_span_store_truncates_pathological_journeys():
     store = SpanStore(max_traces=8)
     for i in range(SpanStore.MAX_SPANS_PER_TRACE + 10):
@@ -333,6 +434,13 @@ def test_profiler_attributes_events_per_component():
     assert prof.event_counts() == {"link": 1, "tcp": 2}
     table = prof.table().render()
     assert "tcp" in table and "link" in table
+    # Totals are sums over what is stored per label.
+    assert prof.events == 3
+    assert prof.wall == pytest.approx(
+        sum(wall for _, wall in prof.by_handler().values()))
+    assert "3 events" in table
+    prof.clear()
+    assert prof.events == 0 and prof.wall == 0.0
 
 
 def test_profiler_wall_time_is_positive_but_excluded_from_counts():
