@@ -20,12 +20,13 @@ fixed RTO — RFC 896's precondition).  Gateway defenses are attached per
 * ``red_drr`` — per-flow DRR fairness (:mod:`repro.flows.scheduler`)
   with per-flow RED, the full modern bottleneck.
 
-:class:`EcologyNet` adapts the sharded build to the duck-type the chaos
-campaign engine, the netmgmt plane, and the invariant monitors expect
-(``nodes()``, ``hosts``, ``gateways``, ``links``, ``address_owners()``…),
-and owns the campaign-facing verbs: ``start_traffic`` at build time,
-``start_misbehaving``/``stop_misbehaving`` for the fault window, and
-``finalize_accounting`` before anyone reads a ledger.
+:class:`EcologyNet` is the harness's :class:`RingNet` — the duck-type the
+chaos campaign engine, the netmgmt plane, and the invariant monitors
+expect (``nodes()``, ``hosts``, ``gateways``, ``links``,
+``address_owners()``…) — and adds the ecology's own verbs:
+``start_traffic`` at build time, ``start_misbehaving``/``stop_misbehaving``
+for the fault window, and ``finalize_accounting`` before anyone reads a
+ledger.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from typing import Optional
 from ..accounting import FlowAccountant, HarmAccountant
 from ..apps.voice import UdpVoiceCall, UdpVoiceReceiver
 from ..flows.scheduler import DrrScheduler
-from ..harness.scaletopo import MultiAsBuilder, ScaleConfig
+from ..harness.scaletopo import MultiAsBuilder, RingNet, ScaleConfig
 from ..ip.quench import SourceQuencher
 from ..netlayer.red import RedParams, RedState
-from ..sim.rand import RandomStreams
 from .archetypes import (AGGRESSIVE, BROKEN, CONFORMING, GreedySender,
                          TcpByteSink, archetype_config, sink_config)
 
@@ -139,54 +139,28 @@ class _EcologyBuilder(MultiAsBuilder):
         return
 
 
-class EcologyNet:
-    """Campaign-facing adapter over the single-shard multi-AS build.
-
-    Presents the merged internet with the surface
-    :class:`~repro.chaos.campaign.FaultCampaign`,
-    :class:`~repro.netmgmt.campaign.ManagementPlane` and the invariant
-    monitors all expect from :class:`~repro.harness.topology.Internet`,
-    while keeping the per-AS Internets reachable for addressing.
+class EcologyNet(RingNet):
+    """The ring populated by archetypes: :class:`RingNet`'s merged views
+    and fault verbs, plus the populations, the bottleneck defenses, the
+    accounting and the storm verbs.
     """
+
+    builder = _EcologyBuilder
 
     # Sole reader: benchmarks/perf/workloads.py (frozen); drop with it.
     packet_pool = None
 
     def __init__(self, config: EcologyConfig):
-        self.config = config
         self.scale = config.scale_config()
-        build = _EcologyBuilder(self.scale)(0, 1)
-        shard_net = build.net
-        self.sim = shard_net.sim
-        self.internets = shard_net.internets
-        #: Campaign RNG domain, disjoint from the per-AS Internets'
-        #: (they use seed*1000 + as_index; 997 >= n_as is reserved).
-        self.streams = RandomStreams(config.seed * 1000 + 997)
-        self.tracer = self.internets[0].tracer
-        self.obs = None
-
-        # -- merged views ------------------------------------------------
-        self.hosts: dict = {}
-        self.gateways: dict = {}
-        self.lans: dict = {}
-        self.links: list = []
-        for i, net in sorted(self.internets.items()):
-            self.hosts.update(net.hosts)
-            self.gateways.update(net.gateways)
-            for name, bus in net.lans.items():
-                self.lans[f"as{i}.{name}"] = bus
-            self.links.extend(net.links)
+        super().__init__(self.scale)
+        self.config = config
 
         # -- the bottlenecks: every eastward inter-AS link ---------------
         #: as_index -> (east interface of AS i's hub, the link itself).
         self.bottlenecks: dict[int, tuple] = {}
-        for i, net in sorted(self.internets.items()):
-            hub = net.gateways[f"A{i}G0"].node
-            iface = hub.interface_by_name(f"{hub.name}.east")
-            link = iface.medium
+        for i, link in self.inter_links.items():
             link.queue_limit = config.bottleneck_queue
-            self.bottlenecks[i] = (iface, link)
-            self.links.append(link)
+            self.bottlenecks[i] = (link.ends[0], link)
 
         # -- populations and instruments ---------------------------------
         self.sinks: dict[tuple, TcpByteSink] = {}
@@ -204,29 +178,6 @@ class EcologyNet:
         self._attach_defenses()
         self._attach_accounting()
         self._wire_traffic()
-
-    # -- Internet duck-type -------------------------------------------
-    def nodes(self) -> dict:
-        out = {n: h.node for n, h in self.hosts.items()}
-        out.update({n: g.node for n, g in self.gateways.items()})
-        return out
-
-    def node_by_name(self, name: str):
-        if name in self.hosts:
-            return self.hosts[name].node
-        if name in self.gateways:
-            return self.gateways[name].node
-        raise KeyError(f"no node named {name!r}")
-
-    def address_owners(self) -> dict:
-        owners: dict = {}
-        for i in sorted(self.internets):
-            owners.update(self.internets[i].address_owners())
-        return owners
-
-    def link_endpoints(self, link) -> tuple:
-        a, b = link.ends
-        return a.node.name, b.node.name
 
     # -- build helpers -------------------------------------------------
     def _attach_defenses(self) -> None:

@@ -378,9 +378,13 @@ class RingNet:
     ``internets`` for addressing.
     """
 
+    #: The shard builder the ring comes from (subclasses with their own
+    #: traffic substitute one that starts none).
+    builder = MultiAsBuilder
+
     def __init__(self, config: ScaleConfig):
         self.config = config
-        build = MultiAsBuilder(config)(0, 1)
+        build = self.builder(config)(0, 1)
         shard_net = build.net
         self.sim = shard_net.sim
         self.internets = shard_net.internets

@@ -9,20 +9,18 @@ resolution is by direct lookup, standing in for ARP (see
 
 from __future__ import annotations
 
-import random
-from functools import partial
 from typing import Optional
 
 from ..ip.address import Address, Prefix
-from ..ip.packet import Datagram, IP_HEADER_LEN
+from ..ip.packet import Datagram
 from ..sim.engine import Simulator
-from .link import Interface, _obs_of
-from .loss import LossModel, NoLoss
+from .link import Interface, Medium, _Channel
+from .loss import LossModel
 
 __all__ = ["LanBus"]
 
 
-class LanBus:
+class LanBus(Medium):
     """A shared-medium LAN segment with any number of attached interfaces.
 
     Ethernet-era parameters by default: 10 Mb/s, 1500-byte MTU, microsecond
@@ -45,27 +43,16 @@ class LanBus:
         rng=None,
         name: str = "lan",
     ):
-        self.sim = sim
+        super().__init__(sim, bandwidth_bps=bandwidth_bps, delay=delay,
+                         mtu=mtu, queue_limit=queue_limit, loss=loss, rng=rng,
+                         name=name)
         self.prefix = prefix
-        # Computed once: Prefix.broadcast allocates per call and _arrive
+        # Computed once: Prefix.broadcast allocates per call and _land
         # consults it for every frame on the segment.
         self._broadcast = prefix.broadcast
-        self.bandwidth_bps = bandwidth_bps
-        self.delay = delay
-        self.mtu = mtu
-        self.queue_limit = queue_limit
-        self.loss = loss or NoLoss()
-        self.rng = rng if rng is not None else random.Random(0)
-        self.name = name
-        self._label = f"lan:{name}"  # arrival-event label, built once
-        self._up = True
+        self._label = f"lan:{name}"
         self._interfaces: dict[int, Interface] = {}
-        self._channel_busy_until = 0.0
-        self._queued = 0
-        #: Bumped on every administrative down; in-flight frames carry the
-        #: epoch they were sent under so a down→up flap cannot resurrect
-        #: frames that were flushed (same contract as PointToPointLink).
-        self._epoch = 0
+        self._bus = _Channel(shared=True)
 
     # ------------------------------------------------------------------
     def attach(self, iface: Interface) -> None:
@@ -76,80 +63,26 @@ class LanBus:
         if key in self._interfaces:
             raise ValueError(f"duplicate LAN address {iface.address}")
         self._interfaces[key] = iface
+        self._channels[iface] = self._bus
         iface.medium = self
 
     def detach(self, iface: Interface) -> None:
         self._interfaces.pop(int(iface.address), None)
+        self._channels.pop(iface, None)
         iface.medium = None
-
-    def is_up(self) -> bool:
-        return self._up
-
-    def set_up(self, up: bool) -> None:
-        if not up and self._up:
-            self._epoch += 1
-            self._channel_busy_until = self.sim.now
-            self._queued = 0
-        self._up = up
 
     def resolve(self, address: Address) -> Optional[Interface]:
         """On-link address resolution (the ARP stand-in)."""
         return self._interfaces.get(int(address))
 
-    # ------------------------------------------------------------------
-    def transmit(self, iface: Interface, datagram: Datagram,
-                 next_hop: Optional[Address]) -> None:
-        if not self._up:
-            iface.stats.packets_dropped_down += 1
-            return
-        if self._queued >= self.queue_limit:
-            iface.notify_queue_drop(datagram)
-            return
-        target = next_hop if next_hop is not None else datagram.dst
-        length = IP_HEADER_LEN + len(datagram.payload)
-        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, self._channel_busy_until)
-        self._channel_busy_until = start + tx_time
-        self._queued += 1
-        iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += length
-        iface.stats.link_header_bytes += self.FRAME_OVERHEAD
-        arrival = start + tx_time + self.delay
-        obs = _obs_of(iface)
-        if obs is not None and iface.node is not None:
-            now = self.sim.now
-            obs.link_hop(now, iface.node.name, datagram, start - now,
-                         tx_time, self.delay, self.name)
-        self.sim.post_at(
-            arrival,
-            partial(self._arrive, iface, target, datagram, self._epoch),
-            label=self._label,
-        )
-
-    def _arrive(self, sender: Interface, target: Address,
-                datagram: Datagram, epoch: Optional[int] = None) -> None:
-        if epoch is not None and epoch != self._epoch:
-            # Flushed by an administrative down while in flight; account
-            # the loss to the sender rather than silently vanishing it.
-            sender.stats.packets_dropped_down += 1
-            return
-        self._queued = max(0, self._queued - 1)
-        if not self._up:
-            sender.stats.packets_lost += 1
-            return
-        if self.loss.lose(self.rng, datagram.total_length):
-            sender.stats.packets_lost += 1
-            obs = _obs_of(sender)
-            if obs is not None and sender.node is not None:
-                obs.drop(self.sim.now, sender.node.name, "drop-link-loss",
-                         datagram, self.name)
-            return
-        if target.is_broadcast or target == self._broadcast:
+    def _land(self, sender: Interface, to: Address,
+              datagram: Datagram) -> None:
+        if to.is_broadcast or to == self._broadcast:
             for iface in list(self._interfaces.values()):
                 if iface is not sender:
                     iface.deliver(datagram)
             return
-        receiver = self.resolve(target)
+        receiver = self._interfaces.get(int(to))
         if receiver is None or receiver is sender:
             # Nobody holds that address — silently discarded, as on a real
             # LAN where ARP would have failed.

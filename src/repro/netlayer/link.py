@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..ip.address import Address, Prefix
 from ..ip.packet import Datagram, IP_HEADER_LEN, TOS_CE, TOS_ECT
@@ -62,17 +62,6 @@ class LinkStats:
     packets_dropped_queue: int = 0
     packets_dropped_down: int = 0
     link_header_bytes: int = 0
-
-
-class Medium(Protocol):
-    """What an interface needs from whatever it is attached to."""
-
-    mtu: int
-
-    def transmit(self, iface: "Interface", datagram: Datagram,
-                 next_hop: Optional[Address]) -> None: ...
-
-    def is_up(self) -> bool: ...
 
 
 class Interface:
@@ -154,17 +143,216 @@ class Interface:
         return f"<Interface {self.name} {self.address} on {self.prefix}>"
 
 
-class PointToPointLink:
+class _Channel:
+    """One transmitter: the serializer frames queue behind, one at a time."""
+
+    __slots__ = ("busy_until", "queued", "red", "far", "shared")
+
+    def __init__(self, far: Optional[Interface] = None, shared: bool = False):
+        #: Time the transmitter frees up.
+        self.busy_until = 0.0
+        #: Frames admitted and not yet arrived.
+        self.queued = 0
+        #: Optional RED early-drop/ECN-mark state (see
+        #: :meth:`Medium.enable_red`).  None = drop-tail.
+        self.red = None
+        #: The one interface this transmitter feeds; None where each frame
+        #: is addressed (a bus) or leaves the simulator (a conduit).
+        self.far = far
+        #: Several interfaces send through this channel (a bus).
+        self.shared = shared
+
+
+class Medium:
+    """What an interface attaches to, and the one way across it.
+
+    Every network the internet runs over is this traversal — admit to a
+    transmitter, serialize at ``bandwidth_bps``, propagate for ``delay``,
+    maybe lose, land — which is all goal 3 lets IP assume.  A concrete
+    medium declares only how it differs:
+
+    * :attr:`FRAME_OVERHEAD`, its link-layer framing;
+    * which :class:`_Channel` each attached interface transmits through
+      (``_channels``): its own (a wire's two ends) or one shared by all
+      (a bus);
+    * optionally :meth:`_in_flight`, what happens to a frame between the
+      serializer and the far end (jitter, internal retransmission, or
+      leaving the shard as wire bytes);
+    * :meth:`_land`, where a frame that survived the trip goes.
+    """
+
+    #: Link-layer framing overhead charged per packet.
+    FRAME_OVERHEAD = 0
+
+    #: ``_in_flight(channel, datagram, arrival) -> arrival``: called once
+    #: per admitted frame with its nominal arrival instant; returns the
+    #: actual one.  None = the wire neither delays nor diverts frames.
+    _in_flight: Optional[Callable] = None
+
+    def __init__(
+        self,
+        sim: Simulator,
+        *,
+        bandwidth_bps: float,
+        delay: float,
+        mtu: int,
+        queue_limit: int = 64,
+        loss: Optional[LossModel] = None,
+        rng=None,
+        name: str,
+    ):
+        if bandwidth_bps <= 0:
+            raise ValueError("bandwidth must be positive")
+        if mtu < 68:
+            # RFC 791 minimum: every net must carry 68 bytes unfragmented.
+            raise ValueError(f"mtu {mtu} below the architectural minimum of 68")
+        self.sim = sim
+        self.bandwidth_bps = bandwidth_bps
+        self.delay = delay
+        self.mtu = mtu
+        self.queue_limit = queue_limit
+        self.loss = loss or NoLoss()
+        # A deterministic default stream; experiments pass their own stream
+        # from RandomStreams so runs are reproducible and paired.
+        self.rng = rng if rng is not None else random.Random(0)
+        self.name = name
+        #: Event label of every arrival on this medium (read by the tracer
+        #: and profiler only), built once rather than per packet.
+        self._label = f"link:{name}"
+        self._up = True
+        #: Sending interface -> the transmitter it queues on.
+        self._channels: dict[Interface, _Channel] = {}
+        #: Bumped on every administrative *down*.  Packets in flight carry
+        #: the epoch they were transmitted under; a stale epoch at arrival
+        #: time means the link went down while they were on the wire, so
+        #: they were flushed and must not be resurrected even if the link
+        #: is back up by their scheduled arrival.
+        self._epoch = 0
+
+    # ------------------------------------------------------------------
+    def is_up(self) -> bool:
+        return self._up
+
+    def set_up(self, up: bool) -> None:
+        """Administratively raise/lower the medium.  Lowering it flushes
+        every transmit queue and everything in flight (those packets are
+        gone — datagrams are not a guaranteed service); the epoch bump
+        makes sure a down→up flap cannot resurrect them."""
+        if not up and self._up:
+            self._epoch += 1
+            for iface, chan in self._channels.items():
+                chan.busy_until = self.sim.now
+                # Flushed packets are accounted, not silently vanished:
+                # they died because the link was administratively down.
+                # A channel with one sender charges it here; a shared one
+                # cannot tell whose frames it held, so each is charged to
+                # its sender when it fails to arrive (see _arrive).
+                if not chan.shared:
+                    iface.stats.packets_dropped_down += chan.queued
+                chan.queued = 0
+        self._up = up
+
+    def enable_red(self, iface: Interface, red) -> None:
+        """Put a :class:`~repro.netlayer.red.RedState` in front of the
+        transmit queue ``iface`` sends through.  Arrivals consult RED
+        *before* the drop-tail check: an early drop fires the same
+        ``notify_queue_drop`` hook as a tail drop (so Source Quench and
+        drop accounting see it), while an ECT arrival is CE-marked and
+        admitted instead."""
+        if iface not in self._channels:
+            raise ValueError(f"{iface} is not attached to {self.name}")
+        self._channels[iface].red = red
+
+    # ------------------------------------------------------------------
+    def transmit(self, iface: Interface, datagram: Datagram,
+                 next_hop: Optional[Address]) -> None:
+        """Queue a datagram for serialization toward wherever it lands."""
+        if not self._up:
+            iface.stats.packets_dropped_down += 1
+            obs = _obs_of(iface)
+            if obs is not None and iface.node is not None:
+                obs.drop(self.sim.now, iface.node.name, "drop-link-down",
+                         datagram, self.name)
+            return
+        chan = self._channels[iface]
+        red = chan.red
+        if red is not None:
+            verdict = red.on_enqueue(chan.queued, self.sim.now,
+                                     ect=bool(datagram.tos & TOS_ECT))
+            if verdict == "drop":
+                iface.notify_queue_drop(datagram)
+                return
+            if verdict == "mark":
+                datagram.tos |= TOS_CE
+        if chan.queued >= self.queue_limit:
+            iface.notify_queue_drop(datagram)
+            return
+        length = IP_HEADER_LEN + len(datagram.payload)
+        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
+        start = max(self.sim.now, chan.busy_until)
+        chan.busy_until = start + tx_time
+        chan.queued += 1
+        iface.stats.packets_sent += 1
+        iface.stats.bytes_sent += length
+        iface.stats.link_header_bytes += self.FRAME_OVERHEAD
+
+        arrival = start + tx_time + self.delay
+        if self._in_flight is not None:
+            arrival = self._in_flight(chan, datagram, arrival)
+        obs = _obs_of(iface)
+        if obs is not None and iface.node is not None:
+            # Dwell breakdown: time waiting behind earlier frames, time on
+            # the serializer, time in flight (propagation + whatever
+            # _in_flight added).
+            now = self.sim.now
+            obs.link_hop(now, iface.node.name, datagram, start - now,
+                         tx_time, arrival - start - tx_time, self.name)
+        # A wire has one far end; elsewhere the frame is addressed to the
+        # next hop (on-link destinations are their own next hop).
+        to = chan.far
+        if to is None:
+            to = next_hop if next_hop is not None else datagram.dst
+        # Fire-and-forget: packet arrivals are never cancelled, so they
+        # need no handle (and a partial fires without a frame of its own).
+        self.sim.post_at(
+            arrival,
+            partial(self._arrive, chan, iface, to, datagram, self._epoch),
+            label=self._label,
+        )
+
+    def _arrive(self, chan: _Channel, sender: Interface, to,
+                datagram: Datagram, epoch: int) -> None:
+        if epoch != self._epoch:
+            # The link went down (and possibly came back) after this packet
+            # was transmitted: it was flushed.  set_up already counted it
+            # in packets_dropped_down unless the channel is shared.
+            if chan.shared:
+                sender.stats.packets_dropped_down += 1
+            return
+        chan.queued = max(0, chan.queued - 1)
+        if self.loss.lose(self.rng, datagram.total_length):
+            sender.stats.packets_lost += 1
+            obs = _obs_of(sender)
+            if obs is not None and sender.node is not None:
+                obs.drop(self.sim.now, sender.node.name, "drop-link-loss",
+                         datagram, self.name)
+            return
+        self._land(sender, to, datagram)
+
+    def _land(self, sender: Interface, to, datagram: Datagram) -> None:
+        raise NotImplementedError
+
+
+class PointToPointLink(Medium):
     """A serial line between exactly two interfaces.
 
     Models bandwidth (store-and-forward serialization), fixed propagation
-    delay with optional jitter, a finite drop-tail output queue per
-    direction, a loss model, and administrative up/down for failure
-    injection.  This is the workhorse "ARPANET trunk" substitute.
+    delay, a finite drop-tail output queue per direction, a loss model,
+    and administrative up/down for failure injection.  This is the
+    workhorse "ARPANET trunk" substitute.
     """
 
-    #: Link-layer framing overhead charged per packet (HDLC-ish).
-    FRAME_OVERHEAD = 8
+    FRAME_OVERHEAD = 8  # HDLC-ish
 
     def __init__(
         self,
@@ -177,158 +365,20 @@ class PointToPointLink:
         mtu: int = 1006,                   # ARPANET-era maximum
         queue_limit: int = 64,
         loss: Optional[LossModel] = None,
-        jitter_fn: Optional[Callable[[], float]] = None,
         rng=None,
         name: str = "",
     ):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if mtu < 68:
-            # RFC 791 minimum: every net must carry 68 bytes unfragmented.
-            raise ValueError(f"mtu {mtu} below the architectural minimum of 68")
-        self.sim = sim
+        super().__init__(sim, bandwidth_bps=bandwidth_bps, delay=delay,
+                         mtu=mtu, queue_limit=queue_limit, loss=loss, rng=rng,
+                         name=name or f"{a.name}<->{b.name}")
         self.ends = (a, b)
-        self.bandwidth_bps = bandwidth_bps
-        self.delay = delay
-        self.mtu = mtu
-        self.queue_limit = queue_limit
-        self.loss = loss or NoLoss()
-        self.jitter_fn = jitter_fn
-        # A deterministic default stream; experiments pass their own stream
-        # from RandomStreams so runs are reproducible and paired.
-        self.rng = rng if rng is not None else random.Random(0)
-        self.name = name or f"{a.name}<->{b.name}"
-        #: Event label of every arrival on this link (read by the tracer
-        #: and profiler only), built once rather than per packet.
-        self._label = f"link:{self.name}"
-        self._up = True
-        # Per-direction transmitter state: time the transmitter frees up.
-        self._busy_until = {a: 0.0, b: 0.0}
-        self._queued = {a: 0, b: 0}
-        #: Bumped on every administrative *down*.  Packets in flight carry
-        #: the epoch they were transmitted under; a stale epoch at arrival
-        #: time means the link went down while they were on the wire, so
-        #: they were flushed and must not be resurrected even if the link
-        #: is back up by their scheduled arrival.
-        self._epoch = 0
-        #: Optional per-direction RED early-drop/ECN-mark state, keyed by
-        #: sending interface (see :meth:`enable_red`).  None = drop-tail.
-        self._red: dict[Interface, object] = {}
+        self._channels = {a: _Channel(far=b), b: _Channel(far=a)}
         a.medium = self
         b.medium = self
 
-    # ------------------------------------------------------------------
-    def is_up(self) -> bool:
-        return self._up
-
-    def set_up(self, up: bool) -> None:
-        """Administratively raise/lower the link.  Lowering it flushes both
-        transmit queues and everything in flight (those packets are gone —
-        datagrams are not a guaranteed service); the epoch bump makes sure
-        a down→up flap cannot resurrect them."""
-        if not up and self._up:
-            self._epoch += 1
-            for iface in self.ends:
-                self._busy_until[iface] = self.sim.now
-                # Flushed packets are accounted, not silently vanished:
-                # they died because the link was administratively down.
-                iface.stats.packets_dropped_down += self._queued[iface]
-                self._queued[iface] = 0
-        self._up = up
-
-    def enable_red(self, iface: Interface, red) -> None:
-        """Put a :class:`~repro.netlayer.red.RedState` in front of one
-        direction's transmit queue.  Arrivals consult RED *before* the
-        drop-tail check: an early drop fires the same
-        ``notify_queue_drop`` hook as a tail drop (so Source Quench and
-        drop accounting see it), while an ECT arrival is CE-marked and
-        admitted instead."""
-        if iface not in self.ends:
-            raise ValueError(f"{iface} is not attached to {self.name}")
-        self._red[iface] = red
-
-    def other_end(self, iface: Interface) -> Interface:
-        a, b = self.ends
-        if iface is a:
-            return b
-        if iface is b:
-            return a
-        raise ValueError(f"{iface} is not attached to {self.name}")
-
-    # ------------------------------------------------------------------
-    def transmit(self, iface: Interface, datagram: Datagram,
-                 next_hop: Optional[Address]) -> None:
-        """Queue a datagram for serialization toward the other end."""
-        if not self._up:
-            iface.stats.packets_dropped_down += 1
-            obs = _obs_of(iface)
-            if obs is not None and iface.node is not None:
-                obs.drop(self.sim.now, iface.node.name, "drop-link-down",
-                         datagram, self.name)
-            return
-        red = self._red.get(iface)
-        if red is not None:
-            verdict = red.on_enqueue(self._queued[iface], self.sim.now,
-                                     ect=bool(datagram.tos & TOS_ECT))
-            if verdict == "drop":
-                iface.notify_queue_drop(datagram)
-                return
-            if verdict == "mark":
-                datagram.tos |= TOS_CE
-        if self._queued[iface] >= self.queue_limit:
-            iface.notify_queue_drop(datagram)
-            return
-        length = IP_HEADER_LEN + len(datagram.payload)
-        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, self._busy_until[iface])
-        self._busy_until[iface] = start + tx_time
-        self._queued[iface] += 1
-        iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += length
-        iface.stats.link_header_bytes += self.FRAME_OVERHEAD
-
-        arrival = start + tx_time + self.delay
-        if self.jitter_fn is not None:
-            arrival += max(0.0, self.jitter_fn())
-        obs = _obs_of(iface)
-        if obs is not None and iface.node is not None:
-            # Dwell breakdown: time waiting behind earlier frames, time on
-            # the serializer, time in flight (propagation + jitter).
-            now = self.sim.now
-            obs.link_hop(now, iface.node.name, datagram, start - now,
-                         tx_time, arrival - start - tx_time, self.name)
-        # Fire-and-forget: packet arrivals are never cancelled, so they
-        # need no handle (and a partial fires without a frame of its own).
-        self.sim.post_at(
-            arrival,
-            partial(self._arrive, iface, self.other_end(iface), datagram,
-                    self._epoch),
-            label=self._label,
-        )
-
-    def _arrive(self, sender: Interface, remote: Interface,
-                datagram: Datagram, epoch: Optional[int] = None) -> None:
-        if epoch is not None and epoch != self._epoch:
-            # The link went down (and possibly came back) after this packet
-            # was transmitted: it was flushed, and already counted in
-            # packets_dropped_down when the flap flushed the queue.
-            return
-        self._queued[sender] = max(0, self._queued[sender] - 1)
-        if not self._up:
-            sender.stats.packets_lost += 1
-            obs = _obs_of(sender)
-            if obs is not None and sender.node is not None:
-                obs.drop(self.sim.now, sender.node.name, "drop-link-down",
-                         datagram, f"{self.name} (in flight)")
-            return
-        if self.loss.lose(self.rng, datagram.total_length):
-            sender.stats.packets_lost += 1
-            obs = _obs_of(sender)
-            if obs is not None and sender.node is not None:
-                obs.drop(self.sim.now, sender.node.name, "drop-link-loss",
-                         datagram, self.name)
-            return
-        remote.deliver(datagram)
+    def _land(self, sender: Interface, to: Interface,
+              datagram: Datagram) -> None:
+        to.deliver(datagram)
 
     def __repr__(self) -> str:
         return (

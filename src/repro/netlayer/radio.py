@@ -13,7 +13,6 @@ later packet can take a shorter path), and a small MTU.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..sim.engine import Simulator
@@ -49,7 +48,6 @@ class PacketRadioLink(PointToPointLink):
         name: str = "",
     ):
         self.reorder_spread = reorder_spread
-        rng = rng if rng is not None else random.Random(0)
         super().__init__(
             sim,
             a,
@@ -63,11 +61,10 @@ class PacketRadioLink(PointToPointLink):
                 loss_good=0.005, loss_bad=0.4,
             ),
             rng=rng,
-            jitter_fn=self._draw_jitter,
             name=name or f"radio:{a.name}<->{b.name}",
         )
 
-    def _draw_jitter(self) -> float:
+    def _in_flight(self, chan, datagram, arrival: float) -> float:
         if self.reorder_spread <= 0:
-            return 0.0
-        return self.rng.uniform(0.0, self.reorder_spread)
+            return arrival
+        return arrival + self.rng.uniform(0.0, self.reorder_spread)

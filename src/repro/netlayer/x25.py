@@ -15,14 +15,8 @@ monotonic), as the X.25 virtual circuit guarantees.
 
 from __future__ import annotations
 
-import random
-from functools import partial
-from typing import Optional
-
-from ..ip.address import Address
-from ..ip.packet import Datagram, IP_HEADER_LEN
 from ..sim.engine import Simulator
-from .link import Interface, PointToPointLink, _obs_of
+from .link import Interface, PointToPointLink
 from .loss import NoLoss
 
 __all__ = ["X25Subnet"]
@@ -64,48 +58,16 @@ class X25Subnet(PointToPointLink):
         )
         self._label = f"x25:{self.name}"
         # Last scheduled arrival per direction, to force in-order delivery.
-        self._last_arrival = {a: 0.0, b: 0.0}
+        self._last_arrival = {chan: 0.0 for chan in self._channels.values()}
 
-    def transmit(self, iface: Interface, datagram: Datagram,
-                 next_hop: Optional[Address]) -> None:
-        if not self._up:
-            iface.stats.packets_dropped_down += 1
-            obs = _obs_of(iface)
-            if obs is not None and iface.node is not None:
-                obs.drop(self.sim.now, iface.node.name, "drop-link-down",
-                         datagram, self.name)
-            return
-        if self._queued[iface] >= self.queue_limit:
-            iface.notify_queue_drop(datagram)
-            return
-        length = IP_HEADER_LEN + len(datagram.payload)
-        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, self._busy_until[iface])
-        self._busy_until[iface] = start + tx_time
-        self._queued[iface] += 1
-        iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += length
-        iface.stats.link_header_bytes += self.FRAME_OVERHEAD
-
-        extra = 0.0
+    def _in_flight(self, chan, datagram, arrival: float) -> float:
         # Geometric number of internal retransmissions: the subnet recovers
-        # its own losses, converting loss into delay.
+        # its own losses, converting loss into delay (which a journey span
+        # therefore shows as extra in-flight time).
+        extra = 0.0
         while self.rng.random() < self.internal_retx_prob:
             extra += self.internal_retx_delay
-        arrival = start + tx_time + self.delay + extra
         # Sequenced delivery: never overtake the previous packet.
-        arrival = max(arrival, self._last_arrival[iface] + 1e-9)
-        self._last_arrival[iface] = arrival
-        obs = _obs_of(iface)
-        if obs is not None and iface.node is not None:
-            # Internal retransmission delay shows up as "propagation": the
-            # subnet converted loss into extra in-flight time.
-            now = self.sim.now
-            obs.link_hop(now, iface.node.name, datagram, start - now,
-                         tx_time, arrival - start - tx_time, self.name)
-        self.sim.post_at(
-            arrival,
-            partial(self._arrive, iface, self.other_end(iface), datagram,
-                    self._epoch),
-            label=self._label,
-        )
+        arrival = max(arrival + extra, self._last_arrival[chan] + 1e-9)
+        self._last_arrival[chan] = arrival
+        return arrival

@@ -24,12 +24,15 @@ Execution alternates compute windows and message barriers::
         T = T'
 
 Cross-shard links are *conduits*: the egress half (:class:`ConduitPort`)
-is an ordinary medium that charges serialization and propagation exactly
-like a :class:`~repro.netlayer.link.PointToPointLink`, but instead of
-scheduling a local arrival it serializes the datagram to RFC-791 wire
-bytes and appends ``(arrival, dst_shard, dst_port, wire, trace_id)`` to
-the shard's outbox.  The ingress half parses the bytes back and delivers
-to the attached interface.
+is the link's own transmit path
+(:meth:`~repro.netlayer.link.Medium.transmit` — admission, queue limit,
+serialization, propagation, up/down), not a copy of it; only the landing
+differs.  Instead of delivering at a local arrival it serializes the
+datagram to RFC-791 wire bytes and appends ``(arrival, dst_shard,
+dst_port, wire, trace_id)`` to the shard's outbox as soon as the arrival
+instant is known; the local arrival event just frees the queue slot.
+The ingress half parses the bytes back and delivers to the attached
+interface.
 Crossing the seam by value, never by reference, is what makes one-process
 and N-process execution indistinguishable.
 
@@ -55,23 +58,31 @@ from time import perf_counter, process_time
 from typing import Callable, Optional
 
 from ..ip.packet import Datagram
+from ..netlayer.link import Medium, PointToPointLink, _Channel
 from .engine import SimulationError, Simulator
 
 __all__ = ["ConduitPort", "ShardBuild", "ShardHarness", "ShardedSimulation"]
 
 
-class ConduitPort:
+class ConduitPort(Medium):
     """Egress half of an inter-AS link that crosses a shard boundary.
 
-    Attaches to one interface as its medium and mirrors
-    :class:`~repro.netlayer.link.PointToPointLink` timing — per-direction
-    serialization at ``bandwidth_bps``, then ``delay`` of propagation —
-    so a topology partitioned across shards keeps the exact packet timing
-    it has in one process.  The delivery itself becomes an outbox record
-    for the orchestrator instead of a local event.
+    Attaches to one interface as its medium and *is* the link's transmit
+    path (:meth:`~repro.netlayer.link.Medium.transmit`: admission, RED,
+    queue limit, serialization at ``bandwidth_bps``, ``delay`` of
+    propagation, up/down, journey span), so a topology partitioned across
+    shards keeps the exact packet timing and drops it has in one process.
+    Only the landing differs: the far end lives in another simulator and
+    must learn of each arrival a lookahead early, so the datagram leaves
+    as an outbox record the moment its arrival instant is known.  The
+    local arrival event still fires, to free the queue slot at the same
+    instant (and in the same same-timestamp order) a one-process link
+    would.  What has left cannot be recalled: a conduit lowered with
+    datagrams in flight accounts them as flushed but the far shard still
+    receives them, and a conduit's wire is lossless.
     """
 
-    FRAME_OVERHEAD = 8  # match PointToPointLink framing
+    FRAME_OVERHEAD = PointToPointLink.FRAME_OVERHEAD
 
     def __init__(
         self,
@@ -89,33 +100,24 @@ class ConduitPort:
         if delay <= 0:
             raise ValueError("a cross-shard conduit must have positive delay "
                              "(it is the lookahead window)")
-        self.sim = sim
+        super().__init__(
+            sim, bandwidth_bps=bandwidth_bps, delay=delay, mtu=mtu,
+            name=name or f"conduit:{iface.name}->{dst_shard}:{dst_port}")
         self.iface = iface
         self.dst_shard = dst_shard
         self.dst_port = dst_port
         self.outbox = outbox
-        self.bandwidth_bps = bandwidth_bps
-        self.delay = delay
-        self.mtu = mtu
-        self.name = name or f"conduit:{iface.name}->{dst_shard}:{dst_port}"
-        self._busy_until = 0.0
+        self._channels[iface] = _Channel()
         iface.medium = self
 
-    def is_up(self) -> bool:
-        return True
-
-    def transmit(self, iface, datagram, next_hop) -> None:
-        size = datagram.total_length + self.FRAME_OVERHEAD
-        tx_time = size * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, self._busy_until)
-        self._busy_until = start + tx_time
-        iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += datagram.total_length
-        iface.stats.link_header_bytes += self.FRAME_OVERHEAD
-        arrival = start + tx_time + self.delay
+    def _in_flight(self, chan, datagram, arrival: float) -> float:
         self.outbox.append(
             (arrival, self.dst_shard, self.dst_port, datagram.to_bytes(),
              datagram.trace_id))
+        return arrival
+
+    def _land(self, sender, to, datagram) -> None:
+        """Nothing lands here: the far shard's ingress port delivers."""
 
 
 @dataclass

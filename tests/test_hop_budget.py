@@ -14,10 +14,12 @@ import pstats
 from repro.ip import icmp
 from repro.ip.address import Address, Prefix
 from repro.ip.node import Node
-from repro.ip.packet import IP_HEADER_LEN, PROTO_UDP
+from repro.ip.packet import Datagram, IP_HEADER_LEN, PROTO_UDP
+from repro.netlayer.lan import LanBus
 from repro.netlayer.link import Interface, PointToPointLink
 from repro.routing.static import add_default_route, add_static_route
 from repro.sim.engine import Simulator
+from repro.sim.shard import ConduitPort, ShardBuild, ShardHarness
 from repro.udp.udp import UDP_HEADER_LEN, UdpStack
 from test_ip_redirect import two_gateway_lan  # noqa: F401  (fixture)
 
@@ -83,10 +85,11 @@ def test_one_route_resolution_per_datagram_per_node():
 def test_python_calls_per_hop_under_ceiling():
     """cProfile count of Python-level calls into ``repro.ip`` and
     ``repro.netlayer`` per hop (a forward or a delivery; origination and
-    delivery work is in the count).  Measured after the diet: 11,230 calls
-    / 600 hops = 18.72 (21,844 = 36.41 before it); the ceiling sits 10 %
-    above.  The count repeats exactly, so this cannot flake — it fails
-    only when someone adds per-packet calls."""
+    delivery work is in the count).  Measured: 11,230 calls / 600 hops =
+    18.72, the same before and after the four link traversals became one
+    (21,844 = 36.41 before the diet); the ceiling sits 10 % above.  The
+    count repeats exactly, so this cannot flake — it fails only when
+    someone adds per-packet calls."""
     sim, h1, g1, g2, h2, _ = line()
     got = send_burst(sim, h1, h2)
     profile = cProfile.Profile()
@@ -101,6 +104,95 @@ def test_python_calls_per_hop_under_ceiling():
         in pstats.Stats(profile).stats.items()
         if "/repro/ip/" in filename or "/repro/netlayer/" in filename)
     assert calls / hops <= 20.59, f"{calls} calls / {hops} hops"
+
+
+# ----------------------------------------------------------------------
+# The traversal budget: one link crossing, by medium
+# ----------------------------------------------------------------------
+def pair_on(attach):
+    """A and B, one interface each, joined by whatever ``attach`` builds;
+    DATAGRAMS sends A → B posted one per millisecond."""
+    sim = Simulator()
+    prefix = Prefix.parse("10.0.1.0/24")
+    a, b = Node("A", sim), Node("B", sim)
+    ia = a.add_interface(Interface("a0", prefix.host(1), prefix))
+    ib = b.add_interface(Interface("b0", prefix.host(2), prefix))
+    attach(sim, prefix, ia, ib)
+    b.register_protocol(PROTO_UDP, lambda node, datagram, iface: None)
+    for i in range(DATAGRAMS):
+        sim.post(0.001 * i, lambda: ia.output(Datagram(
+            src=ia.address, dst=ib.address, protocol=PROTO_UDP,
+            payload=b"x" * 256)))
+    return sim, ia, ib
+
+
+def link_layer_calls(run) -> int:
+    """Python calls into ``repro.netlayer`` and ``repro.sim.shard`` made
+    while ``run()`` executes."""
+    profile = cProfile.Profile()
+    profile.enable()
+    run()
+    profile.disable()
+    return sum(
+        ncalls for (filename, _, _), (_, ncalls, *_)
+        in pstats.Stats(profile).stats.items()
+        if "/repro/netlayer/" in filename or "/repro/sim/shard" in filename)
+
+
+def test_p2p_traversal_is_seven_calls():
+    """``output``, ``transmit``, ``_obs_of``, then ``_arrive``, ``lose``,
+    ``_land``, ``deliver``: 7, as at the parent of the one-traversal
+    refactor (where ``other_end`` stood in ``_land``'s place)."""
+    sim, ia, ib = pair_on(lambda sim, prefix, ia, ib: PointToPointLink(
+        sim, ia, ib, bandwidth_bps=10_000_000, delay=0.001, mtu=1500))
+    calls = link_layer_calls(lambda: sim.run(until=1.0))
+    assert ib.stats.packets_delivered == DATAGRAMS
+    assert calls == 7 * DATAGRAMS
+
+
+def test_lan_traversal_is_seven_calls():
+    """As p2p; ``_land`` looks the receiver up itself, where the parent's
+    ``_arrive`` called ``resolve``: 7 then, 7 now."""
+    def attach(sim, prefix, ia, ib):
+        bus = LanBus(sim, prefix)
+        bus.attach(ia)
+        bus.attach(ib)
+    sim, ia, ib = pair_on(attach)
+    calls = link_layer_calls(lambda: sim.run(until=1.0))
+    assert ib.stats.packets_delivered == DATAGRAMS
+    assert calls == 7 * DATAGRAMS
+
+
+def test_conduit_crossing_is_ten_calls():
+    """Egress ``output``, ``transmit``, ``_obs_of``, ``_in_flight`` (the
+    wire record), then the slot release ``_arrive``, ``lose``, ``_land``;
+    ingress ``_Ingress()``, its call, ``deliver``: 10.  The parent's 5
+    (``output``, ``transmit`` and the same ingress) bought no queue limit,
+    no up/down, no RED and no journey span; the 5 more are the link's.
+    One window each side adds ``deliver`` + ``run_window`` twice."""
+    class Net:
+        pass
+    outbox = []
+    sim, ia, ib = pair_on(lambda sim, prefix, ia, ib: ConduitPort(
+        sim, ia, dst_shard=1, dst_port="b", outbox=outbox,
+        bandwidth_bps=10_000_000, delay=0.001, mtu=1500))
+    egress_net, ingress_net = Net(), Net()
+    egress_net.sim, ingress_net.sim = sim, Simulator()
+    ib.node.sim = ingress_net.sim
+    egress = ShardHarness(0, 2, lambda shard, n: ShardBuild(
+        net=egress_net, outbox=outbox))
+    ingress = ShardHarness(1, 2, lambda shard, n: ShardBuild(
+        net=ingress_net, ports={"b": ib}))
+
+    def cross():
+        egress.deliver([])
+        records = egress.run_window(1.0)
+        ingress.deliver([(arrival, port, wire, tid)
+                         for arrival, _, port, wire, tid in records])
+        ingress.run_window(1.0)
+    calls = link_layer_calls(cross)
+    assert ib.stats.packets_delivered == DATAGRAMS
+    assert calls == 10 * DATAGRAMS + 4
 
 
 # ----------------------------------------------------------------------

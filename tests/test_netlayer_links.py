@@ -333,3 +333,70 @@ def test_serial_presets_have_expected_character(sim):
     a3, b3, i3, j3, slow = wire_pair(sim3, link_cls=lambda s, x, y, **kw:
                                      slow_serial_line(s, x, y, **kw))
     assert slow.mtu == 296
+
+
+# ----------------------------------------------------------------------
+# One traversal: what the four copies disagreed about
+# ----------------------------------------------------------------------
+def red_burst(sim, link_cls, **kwargs):
+    """40 back-to-back sends through RED(min_th=2, max_th=6) in front of
+    a slow line; returns each send's fate and the RED counters."""
+    from repro.netlayer.red import RedParams, RedState
+
+    a, b, ia, ib, link = wire_pair(sim, link_cls=link_cls, bandwidth_bps=8000,
+                                   delay=0.0, **kwargs)
+    red = RedState(RedParams(min_th=2.0, max_th=6.0, max_p=0.5, weight=1.0),
+                   random.Random(3))
+    link.enable_red(ia, red)
+    fates = []
+    for _ in range(40):
+        dropped = ia.stats.packets_dropped_queue
+        ia.output(dgram())
+        fates.append(ia.stats.packets_dropped_queue > dropped)
+    return fates, red.counters()
+
+
+def test_x25_honours_red_like_a_p2p_link():
+    # Was: X25Subnet.enable_red() was accepted and ignored (0 drops where
+    # the same RedState on a p2p link dropped most of the burst).
+    on_p2p = red_burst(Simulator(), PointToPointLink)
+    on_x25 = red_burst(Simulator(), X25Subnet, internal_retx_prob=0.0)
+    assert on_x25 == on_p2p
+    assert sum(on_x25[0]) > 20 and on_x25[1]["arrivals"] == 40
+
+
+def test_lan_down_drop_is_a_named_journey_drop(sim):
+    # Was: a transmit onto a lowered LanBus bumped packets_dropped_down
+    # and told nobody; p2p and X.25 recorded "drop-link-down".
+    from repro.obs.core import Observability
+
+    bus, nodes = lan_with_nodes(sim)
+    obs = nodes[0].obs = Observability(profile=False)
+    iface = nodes[0].interfaces[0]
+    bus.set_up(False)
+    datagram = dgram()
+    datagram.trace_id = 7
+    iface.output(datagram, Address("10.0.9.2"))
+    assert iface.stats.packets_dropped_down == 1
+    assert [(s.node, s.kind, s.verdict, s.detail) for s in obs.journey(7)] \
+        == [("N1", "drop", "drop-link-down", bus.name)]
+
+
+def test_lan_red_covers_the_shared_channel(sim):
+    # The bus has one transmitter, so RED enabled through any member
+    # judges every member's frames (one channel record, shared).
+    from repro.netlayer.red import RedParams, RedState
+
+    bus, nodes = lan_with_nodes(sim)
+    red = RedState(RedParams(min_th=1.0, max_th=2.0, weight=1.0),
+                   random.Random(0))
+    bus.enable_red(nodes[0].interfaces[0], red)
+    for node in nodes:
+        for _ in range(3):
+            node.interfaces[0].output(dgram(), Address("10.0.9.1"))
+    assert red.arrivals == 9
+    assert sum(n.interfaces[0].stats.packets_dropped_queue
+               for n in nodes) == red.forced_dropped == 7
+    with pytest.raises(ValueError):
+        bus.enable_red(Interface("x", Address("10.0.9.9"),
+                                 Prefix.parse("10.0.9.0/24")), red)

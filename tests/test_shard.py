@@ -181,3 +181,105 @@ def test_conduit_serializes_by_value():
     assert arrival == pytest.approx(tx + 0.01)
     parsed = Datagram.from_bytes(wire)
     assert parsed.payload == d.payload and parsed.dst == d.dst
+
+
+# ----------------------------------------------------------------------
+# The conduit is the link's transmit path (one traversal, DESIGN §7)
+# ----------------------------------------------------------------------
+class _LinkLedger(MultiAsBuilder):
+    """The scale builder, also collecting per-interface link counters and
+    per-sink bytes (the stock summary has neither)."""
+
+    def __call__(self, shard_id, n_shards):
+        build = super().__call__(shard_id, n_shards)
+        net, stock = build.net, build.collect
+
+        def collect():
+            summary = stock()
+            stats = [iface.stats for internet in net.internets.values()
+                     for node in internet.nodes().values()
+                     for iface in node.interfaces]
+            summary["queue_drops"] = sum(s.packets_dropped_queue for s in stats)
+            summary["packets_sent"] = sum(s.packets_sent for s in stats)
+            summary["sinks"] = {str(key): sink.bytes
+                                for key, sink in net.sinks.items()}
+            return summary
+
+        build.collect = collect
+        return build
+
+
+def test_saturated_seam_drops_the_same_at_any_partition():
+    """A cross-shard link admits and tail-drops like the same link in one
+    process.  Was: the conduit had no queue, so with the inter-AS links
+    saturated 1 shard tail-dropped 6,736 datagrams (64,026 sent) and 4
+    shards dropped 0 (70,762 sent)."""
+    cfg = ScaleConfig(n_as=4, gateways_per_as=4, hosts_per_lan=2, seed=13,
+                      flow_rate=200.0, inter_bandwidth=256_000.0)
+    ledgers = []
+    for n_shards in (1, 2, 4):
+        builder = _LinkLedger(cfg)
+        with ShardedSimulation(builder, n_shards,
+                               lookahead=builder.lookahead()) as ss:
+            ss.run(until=20.0)
+            summaries = ss.collect()
+        sinks = {}
+        for s in summaries:
+            sinks.update(s["sinks"])
+        ledgers.append((sum(s["queue_drops"] for s in summaries),
+                        sum(s["packets_sent"] for s in summaries), sinks))
+    assert ledgers[0] == ledgers[1] == ledgers[2]
+    assert ledgers[0][:2] == (6736, 64026)
+
+
+def observed_conduit(**kwargs):
+    """A node whose only interface leaves through a conduit, watched."""
+    from repro.ip.node import Node
+    from repro.ip.packet import Datagram
+    from repro.obs.core import Observability
+
+    sim = Simulator()
+    node = Node("A", sim)
+    prefix = Prefix(Address("10.254.0.0"), 30)
+    iface = node.add_interface(Interface("A.east", prefix.host(1), prefix))
+    node.obs = Observability(profile=False)
+    outbox = []
+    port = ConduitPort(sim, iface, dst_shard=1, dst_port="as1.west",
+                       outbox=outbox, delay=0.01, **kwargs)
+    datagram = Datagram(src=prefix.host(1), dst=Address("10.1.0.1"),
+                        protocol=17, payload=b"x" * 100, trace_id=9)
+    return sim, node, iface, port, outbox, datagram
+
+
+def test_conduit_crossing_gets_its_link_hop_span():
+    # Was: a journey went dark at the seam (no span, no dwell breakdown).
+    sim, node, iface, port, outbox, datagram = observed_conduit(
+        bandwidth_bps=56_000.0)
+    iface.output(datagram)
+    tx = (120 + ConduitPort.FRAME_OVERHEAD) * 8.0 / 56_000.0
+    [span] = node.obs.journey(9)
+    assert (span.node, span.kind, span.verdict, span.detail) \
+        == ("A", "link", "transmitted", port.name)
+    assert (span.queue_wait, span.serialization) == (0.0, tx)
+    assert span.propagation == pytest.approx(0.01)
+    assert iface.stats.bytes_sent == 120
+
+
+def test_conduit_goes_down_and_bounds_its_queue_like_a_link():
+    # Was: is_up() was constant True and nothing was ever refused.
+    sim, node, iface, port, outbox, datagram = observed_conduit(
+        bandwidth_bps=8000.0)
+    for _ in range(70):
+        iface.output(datagram)
+    assert len(outbox) == port.queue_limit == 64
+    assert iface.stats.packets_dropped_queue == 6
+    sim.run(until=sim.now + 60.0)         # every slot released on arrival
+    iface.output(datagram)
+    assert len(outbox) == 65
+    port.set_up(False)
+    assert not iface.up
+    iface.output(datagram)
+    assert len(outbox) == 65
+    # One flushed in flight, one refused at the door.
+    assert iface.stats.packets_dropped_down == 2
+    assert node.obs.journey(9)[-1].verdict == "drop-link-down"
