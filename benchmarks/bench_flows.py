@@ -65,7 +65,8 @@ def run(mode: str, *, seed: int, duration: float) -> dict:
         "events_processed": topo.net.sim.events_processed,
         "wall_seconds_info_only": round(wall, 3),
     }
-    out["flow_gateway"] = topo.fgw.counters()
+    if topo.fgw is not None:
+        out["flow_gateway"] = topo.fgw.counters()
     return out
 
 

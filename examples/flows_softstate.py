@@ -6,8 +6,9 @@ Run:  python examples/flows_softstate.py
 Builds the canonical flows topology — a voice call and an oversubscribed
 bulk TCP session sharing a 300 kb/s bottleneck — twice:
 
-1. under the 1988 FIFO gateway, where bulk traffic drowns the voice
-   flow's playout deadline;
+1. under the 1988 FIFO gateway — the bottleneck link's own drop-tail
+   queue — where bulk traffic queued ahead of the voice flow pushes its
+   latency tail far past the playout deadline;
 2. under the flow gateway (per-flow DRR) with the voice flow's
    reservation installed as *soft state*: the endpoint refreshes it every
    2 seconds, the gateway expires it on its own, and when we crash the

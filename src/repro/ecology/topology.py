@@ -189,8 +189,7 @@ class EcologyNet(RingNet):
                 link.enable_red(iface, red)
                 self.red_states[i] = red
             elif cfg.defense == "red_drr":
-                sched = DrrScheduler(self.sim, iface, link.bandwidth_bps,
-                                     mode="drr",
+                sched = DrrScheduler(iface,
                                      per_flow_limit=cfg.drr_per_flow_limit)
                 rng = self.streams.stream(f"red.as{i}")
                 sched.enable_red(

@@ -38,17 +38,16 @@ __all__ = ["FlowGateway", "ReservationSender", "accept_reservations"]
 class FlowGateway:
     """Attaches soft-state flow scheduling to one gateway interface.
 
-    The scheduler handles the data plane; this class handles the control
-    plane: refresh interception and expiry sweeping.
+    The scheduler is the discipline of the interface's transmitter; this
+    class handles the control plane: refresh interception and expiry
+    sweeping.
     """
 
-    def __init__(self, node: Node, iface: Interface, service_rate_bps: float,
-                 *, mode: str = "drr", sweep_interval: float = 1.0,
-                 per_flow_limit: int = 32):
+    def __init__(self, node: Node, iface: Interface, *,
+                 sweep_interval: float = 1.0, per_flow_limit: int = 32):
         self.node = node
         self.sim = node.sim
-        self.scheduler = DrrScheduler(node.sim, iface, service_rate_bps,
-                                      mode=mode, per_flow_limit=per_flow_limit)
+        self.scheduler = DrrScheduler(iface, per_flow_limit=per_flow_limit)
         self._expiry: dict[tuple, float] = {}
         self.refreshes_seen = 0
         self.specs_expired = 0
@@ -86,7 +85,7 @@ class FlowGateway:
         """Soft state is volatile by design: a crash simply clears it.
 
         The data plane dies with the node too: every queued packet is
-        flushed and the pending serve callback is invalidated — a crashed
+        flushed, so the link's next release finds nothing — a crashed
         gateway must be *silent*, not drain its scheduler onto the wire.
         """
         self.state_losses += 1

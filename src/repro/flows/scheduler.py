@@ -1,15 +1,15 @@
 """Per-flow packet scheduling at a gateway's outbound interface.
 
-The 1988 gateway was a pure FIFO; the paper's "flows" outlook implies
-gateways that give identified flows differentiated treatment.  The
-scheduler here implements deficit round robin (a practical weighted fair
-queueing) over per-flow queues, plus a plain FIFO mode so experiment E10
-can compare the two on the *same* code path.
+The 1988 gateway was a pure FIFO — the link's own drop-tail queue; the
+paper's "flows" outlook implies gateways that give identified flows
+differentiated treatment.  The scheduler here implements deficit round
+robin (a practical weighted fair queueing) over per-flow queues.
 
-The scheduler sits in front of the link (via ``Interface.scheduler``) and
-meters packets into it at the configured service rate, keeping the link's
-own queue empty so the scheduling discipline — not the link FIFO — decides
-ordering.
+It is the *discipline* of the interface's transmitter, not a second data
+path: the medium hands it every admitted frame
+(:meth:`~repro.netlayer.link.Medium.enable_drr`) and releases its pick the
+instant the serializer frees.  What lives here is soft state about
+classification — which queue a frame waits in and whose turn is next.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import Optional
 
 from ..ip.address import Address
 from ..ip.packet import TOS_CE, TOS_ECT, Datagram
-from ..netlayer.link import Interface, _obs_of
+from ..netlayer.link import Interface
 from ..netlayer.red import DROP, MARK
-from ..sim.engine import Simulator
 from .flowspec import FlowSpec, flow_key_of
 
 __all__ = ["DrrScheduler", "SchedulerStats"]
@@ -55,42 +54,26 @@ class _FlowQueue:
 
 
 class DrrScheduler:
-    """Deficit-round-robin scheduler bound to one interface.
+    """Deficit-round-robin discipline of one interface's transmitter.
 
     Parameters
     ----------
-    mode:
-        ``"drr"`` for per-flow fair queueing, ``"fifo"`` for the classic
-        1988 single queue (the baseline).
     quantum:
         Bytes of credit per weight unit per round.
     per_flow_limit:
-        Maximum queued packets per flow (or for the single FIFO).
+        Maximum queued packets per flow.
     """
 
     def __init__(
         self,
-        sim: Simulator,
         iface: Interface,
-        service_rate_bps: float,
         *,
-        mode: str = "drr",
         quantum: int = 600,
         per_flow_limit: int = 32,
         default_weight: int = 1,
-        frame_overhead: Optional[int] = None,
     ):
-        if mode not in ("drr", "fifo"):
-            raise ValueError(f"unknown scheduler mode {mode!r}")
-        self.sim = sim
         self.iface = iface
-        self.rate = service_rate_bps
-        # The link charges framing bytes per packet; the scheduler must
-        # meter at the same effective rate or it overruns the link queue.
-        if frame_overhead is None:
-            frame_overhead = getattr(iface.medium, "FRAME_OVERHEAD", 0) or 0
-        self.frame_overhead = frame_overhead
-        self.mode = mode
+        self.sim = iface.medium.sim
         self.quantum = quantum
         self.per_flow_limit = per_flow_limit
         self.default_weight = default_weight
@@ -98,18 +81,13 @@ class DrrScheduler:
         self._flows: dict[tuple, _FlowQueue] = {}
         self._round: deque = deque()      # active flow keys
         self._specs: list[FlowSpec] = []
-        self._busy = False
-        #: Bumped by flush(): a scheduled drr:serve callback from before
-        #: the flush must not transmit on behalf of the new epoch (the
-        #: same pattern as the link's epoch-stamped arrivals).
-        self._epoch = 0
         #: Key of the flow whose once-per-visit quantum has been granted
         #: for its current tenure at the head of the round.
         self._head_topped: Optional[tuple] = None
         #: Optional per-flow RED factory consulted before admission
         #: (see :meth:`enable_red`).
         self._red_factory = None
-        iface.scheduler = self
+        iface.medium.enable_drr(iface, self)
 
     def enable_red(self, red_factory) -> None:
         """Run RED over each flow's *own* backlog (FRED-style).
@@ -126,8 +104,6 @@ class DrrScheduler:
         average high and the *responsive* flows would absorb the marks —
         the classic RED unfairness.  Here DRR isolates service rates and
         RED keeps each flow's standing queue short on its own merits.
-        In ``fifo`` mode everything classifies to the single queue, so
-        the same hook degenerates to classic RED on a FIFO.
         """
         self._red_factory = red_factory
 
@@ -148,8 +124,6 @@ class DrrScheduler:
         if flow is not None:
             flow.weight = spec.weight
             flow.reserved = True
-        if self.mode == "fifo":
-            return
         implicit = self._flows.get((int(spec.src), int(spec.dst),
                                     spec.protocol))
         if implicit is None or not implicit.queue or implicit is flow:
@@ -187,7 +161,7 @@ class DrrScheduler:
             return
         flow.weight = self.default_weight
         flow.reserved = False
-        if self.mode == "fifo" or not flow.queue or len(spec_key) < 4:
+        if not flow.queue or len(spec_key) < 4:
             return
         implicit_key = spec_key[:3]
         implicit = self._flows.get(implicit_key)
@@ -210,17 +184,13 @@ class DrrScheduler:
         return list(self._specs)
 
     def _classify(self, datagram: Datagram) -> _FlowQueue:
-        if self.mode == "fifo":
-            key = ("fifo",)
-            weight, reserved = 1, False
-        else:
-            key, weight, reserved = None, self.default_weight, False
-            for spec in self._specs:
-                if spec.matches(datagram):
-                    key, weight, reserved = spec.key, spec.weight, True
-                    break
-            if key is None:
-                key = flow_key_of(datagram)
+        key, weight, reserved = None, self.default_weight, False
+        for spec in self._specs:
+            if spec.matches(datagram):
+                key, weight, reserved = spec.key, spec.weight, True
+                break
+        if key is None:
+            key = flow_key_of(datagram)
         flow = self._flows.get(key)
         if flow is None:
             flow = _FlowQueue(key=key, weight=weight, reserved=reserved)
@@ -228,9 +198,11 @@ class DrrScheduler:
         return flow
 
     # ------------------------------------------------------------------
-    # Enqueue / service loop
+    # Hold / release (called by the medium)
     # ------------------------------------------------------------------
-    def enqueue(self, datagram: Datagram, next_hop: Optional[Address]) -> None:
+    def enqueue(self, datagram: Datagram, next_hop: Optional[Address]) -> bool:
+        """Hold an admitted frame in its flow's queue; False when per-flow
+        RED or the flow's limit refuses it."""
         flow = self._classify(datagram)
         if self._red_factory is not None:
             if flow.red is None:
@@ -239,88 +211,56 @@ class DrrScheduler:
                 len(flow.queue), self.sim.now,
                 ect=bool(datagram.tos & TOS_ECT))
             if verdict == DROP:
-                flow.drops += 1
-                self.stats.dropped += 1
-                self._drop(datagram, "drop-red-early", flow.key, notify=True)
-                return
+                self._refuse(datagram, flow, "drop-red-early")
+                return False
             if verdict == MARK:
                 datagram.tos |= TOS_CE
         if len(flow.queue) >= self.per_flow_limit:
-            flow.drops += 1
-            self.stats.dropped += 1
-            self._drop(datagram, "drop-flow-queue-full", flow.key, notify=True)
-            return
+            self._refuse(datagram, flow, "drop-flow-queue-full")
+            return False
         flow.queue.append((datagram, next_hop))
         flow.packets += 1
         self.stats.enqueued += 1
         if len(flow.queue) == 1 and flow.key not in self._round:
             self._round.append(flow.key)
-        if not self._busy:
-            self._serve_next()
+        return True
 
-    def _drop(self, datagram: Datagram, reason: str, flow_key: tuple,
-              *, notify: bool = False) -> None:
-        """Account one scheduler drop (per-flow reason).
+    def _refuse(self, datagram: Datagram, flow: _FlowQueue,
+                reason: str) -> None:
+        """A congestion drop: the interface's queue-drop machinery (drop
+        counter + ``on_queue_drop`` hook) fires as for a tail drop, so a
+        :class:`~repro.ip.quench.SourceQuencher` watching this interface
+        is not blind behind a scheduler."""
+        flow.drops += 1
+        self.stats.dropped += 1
+        self.iface.notify_queue_drop(
+            datagram, reason, ("%s flow=%s", self.iface.name, flow.key))
 
-        With ``notify``, congestion drops also feed the interface's
-        queue-drop machinery (drop counter + ``on_queue_drop`` hook) so
-        a :class:`~repro.ip.quench.SourceQuencher` watching this
-        interface still fires when a scheduler fronts the link — without
-        it, scheduler-fronted bottlenecks were quench-blind.  Flush and
-        migration drops stay silent: a crashing node must not advise
-        anyone.
+    def flush(self, reason: str = "drop-flow-flush") -> int:
+        """Drop everything held; returns the number of packets flushed.
+
+        Called when the owning node crashes (its queues die with it, and
+        the next release finds nothing to send) and, with
+        ``drop-link-down``, when the medium goes down.  Silent: a crashing
+        node must not advise anyone, so no ``on_queue_drop``.
         """
-        obs = _obs_of(self.iface)
-        node = self.iface.node
-        if obs is not None and node is not None:
-            obs.drop(self.sim.now, node.name, reason, datagram,
-                     f"{self.iface.name} flow={flow_key}")
-        if notify:
-            self.iface.stats.packets_dropped_queue += 1
-            if self.iface.on_queue_drop is not None:
-                self.iface.on_queue_drop(datagram)
-
-    def _serve_next(self, epoch: Optional[int] = None) -> None:
-        if epoch is not None and epoch != self._epoch:
-            return  # scheduled before a flush(): this service chain is dead
-        selected = self._select()
-        if selected is None:
-            self._busy = False
-            return
-        datagram, next_hop = selected
-        self._busy = True
-        self.stats.dequeued += 1
-        length = datagram.total_length
-        self.stats.bytes_sent += length
-        self.iface.transmit_now(datagram, next_hop)
-        tx_time = (length + self.frame_overhead) * 8.0 / self.rate
-        self.sim.schedule(
-            tx_time,
-            lambda epoch=self._epoch: self._serve_next(epoch),
-            label="drr:serve")
-
-    def flush(self) -> int:
-        """Drop everything queued and invalidate the pending serve
-        callback.  Called when the owning node crashes: its queues die
-        with it (fate-sharing), and nothing it queued may reach the wire
-        afterwards.  Returns the number of packets flushed."""
         flushed = 0
         for flow in self._flows.values():
             while flow.queue:
                 datagram, _next_hop = flow.queue.popleft()
                 flow.drops += 1
                 flushed += 1
-                self._drop(datagram, "drop-flow-flush", flow.key)
+                self.iface.record_drop(
+                    datagram, reason, ("%s flow=%s", self.iface.name, flow.key))
             flow.deficit = 0
         self._round.clear()
         self._head_topped = None
-        self._busy = False
-        self._epoch += 1
         self.stats.flushed += flushed
         return flushed
 
-    def _select(self) -> Optional[tuple]:
-        """DRR selection: rotate flows, spending deficit credit."""
+    def dequeue(self) -> Optional[tuple]:
+        """DRR selection: rotate flows, spending deficit credit; the
+        ``(datagram, next_hop)`` to serialize next, or None."""
         # Each iteration pops an empty flow, returns a packet, or rotates
         # after granting one per-visit quantum — so every flow is reached;
         # the guard is a backstop against a zero-quantum misconfiguration.
@@ -337,8 +277,6 @@ class DrrScheduler:
                     self._head_topped = None
                 continue
             head_size = flow.queue[0][0].total_length
-            if self.mode == "fifo":
-                return flow.queue.popleft()
             # Grant the quantum exactly once per tenure at the head.
             if self._head_topped != key:
                 flow.deficit += self.quantum * flow.weight
@@ -350,6 +288,8 @@ class DrrScheduler:
                     flow.deficit = 0
                     self._round.popleft()
                     self._head_topped = None
+                self.stats.dequeued += 1
+                self.stats.bytes_sent += head_size
                 return item
             # This visit's credit is spent: move to the back of the round.
             self._round.rotate(-1)

@@ -14,10 +14,13 @@ canonical topology to measure it on.  This preset builds it:
 * ``V`` streams open-loop UDP voice (64 kb/s PCM, 50 frames/s) to ``S``;
 * ``B`` streams bulk TCP to ``S`` through a resumable session, offered at
   more than the bottleneck's rate — the link is *saturated* by design;
-* ``G1``'s egress onto the 300 kb/s bottleneck carries the scheduler
-  under test (``mode="fifo"`` for the 1988 baseline, ``"drr"`` for
-  per-flow fair queueing), wrapped in a :class:`FlowGateway` so
-  reservations install/refresh/expire as soft state;
+* ``G1``'s egress onto the 300 kb/s bottleneck carries the discipline
+  under test: ``mode="fifo"`` is the 1988 baseline, the link's own
+  drop-tail queue and no flow gateway; ``"drr"`` is per-flow fair
+  queueing under a :class:`FlowGateway`, so reservations
+  install/refresh/expire as soft state.  The queue holds
+  ``per_flow_limit`` packets in both: the FIFO's whole buffer, and a
+  depth DRR, which keeps one frame on the wire, never reaches;
 * the ``G1─G3─G2`` detour gives routing somewhere to reconverge to when
   chaos flaps the bottleneck.
 
@@ -100,7 +103,8 @@ class RecordingMeter(PlayoutMeter):
 class FlowTopology:
     """A built flows preset with live handles for campaigns and benches."""
 
-    def __init__(self, net: Internet, *, mode: str, fgw: FlowGateway,
+    def __init__(self, net: Internet, *, mode: str,
+                 fgw: Optional[FlowGateway],
                  bottleneck, meter: RecordingMeter,
                  voice_call: UdpVoiceCall, voice_receiver: UdpVoiceReceiver,
                  bulk_client: Optional[ReconnectingStream],
@@ -141,8 +145,9 @@ class FlowTopology:
             "voice_p99_s": _round(meter.latency_quantile(0.99)),
             "voice_p50_s": _round(meter.latency_quantile(0.50)),
             "bulk_bytes_received": self.bulk_bytes_received,
-            "flow_gateway": self.fgw.counters(),
         }
+        if self.fgw is not None:
+            out["flow_gateway"] = self.fgw.counters()
         if self.sender is not None:
             out["refreshes_sent"] = self.sender.refreshes_sent
         return out
@@ -175,9 +180,11 @@ def build_flow_topology(
 
     The bulk session offers ``bulk_chunk * 8 / bulk_interval`` bits/s
     (384 kb/s at the defaults) against a 300 kb/s bottleneck, so the
-    scheduler — not spare capacity — decides who gets through.  Voice and
-    bulk start immediately after convergence; ``duration`` bounds both.
+    discipline — not spare capacity — decides who gets through.  Voice
+    and bulk start immediately after convergence; ``duration`` bounds both.
     """
+    if mode not in ("fifo", "drr"):
+        raise ValueError(f"unknown gateway discipline {mode!r}")
     cfg = TcpConfig(quiet_time=1.5, keepalive_idle=3.0,
                     keepalive_interval=1.0, keepalive_probes=3)
     net = Internet(seed=seed, trace=trace)
@@ -188,7 +195,7 @@ def build_flow_topology(
     net.connect(v, g1, bandwidth_bps=10e6, delay=0.001)
     net.connect(b, g1, bandwidth_bps=10e6, delay=0.001)
     bottleneck = net.connect(g1, g2, bandwidth_bps=bottleneck_bps,
-                             delay=0.005, queue_limit=8)
+                             delay=0.005, queue_limit=per_flow_limit)
     net.connect(g1, g3, bandwidth_bps=1e6, delay=0.010)
     net.connect(g3, g2, bandwidth_bps=1e6, delay=0.010)
     net.connect(g2, s, bandwidth_bps=10e6, delay=0.001)
@@ -197,10 +204,11 @@ def build_flow_topology(
     net.start_routing()
     net.converge(settle=settle)
 
-    egress = (bottleneck.ends[0]
-              if bottleneck.ends[0].node is g1.node else bottleneck.ends[1])
-    fgw = FlowGateway(g1.node, egress, bottleneck_bps, mode=mode,
-                      per_flow_limit=per_flow_limit)
+    fgw = None
+    if mode == "drr":
+        egress = (bottleneck.ends[0] if bottleneck.ends[0].node is g1.node
+                  else bottleneck.ends[1])
+        fgw = FlowGateway(g1.node, egress, per_flow_limit=per_flow_limit)
 
     # -- voice: open-loop UDP, scored against its playout deadline ------
     receiver = UdpVoiceReceiver(s, VOICE_PORT,

@@ -85,23 +85,28 @@ class Interface:
         self.node: Optional["Node"] = None
         self.medium: Optional[Medium] = None
         self.stats = LinkStats()
-        #: Optional packet scheduler (the flows/soft-state extension).  When
-        #: set, outbound datagrams pass through it instead of going straight
-        #: to the medium; the scheduler calls :meth:`transmit_now` to
-        #: release them.
-        self.scheduler = None
         #: Called with the dropped datagram when the medium's transmit
         #: queue overflows — the hook the 1988 Source Quench congestion
         #: signal hangs off (see repro.ip.quench).
         self.on_queue_drop: Optional[Callable[[Datagram], None]] = None
 
-    def notify_queue_drop(self, datagram: Datagram) -> None:
-        """Media call this when they tail-drop a packet from this side."""
-        self.stats.packets_dropped_queue += 1
+    def record_drop(self, datagram: Datagram, reason: str,
+                    detail) -> None:
+        """Name a datagram's death at this interface in its journey (a
+        no-op unless observability is on); counters are the caller's."""
         obs = _obs_of(self)
-        if obs is not None and self.node is not None:
-            obs.drop(self.node.sim.now, self.node.name, "drop-queue-full",
-                     datagram, self.name)
+        if obs is not None:
+            obs.drop(self.node.sim.now, self.node.name, reason, datagram,
+                     detail)
+
+    def notify_queue_drop(self, datagram: Datagram,
+                          reason: str = "drop-queue-full",
+                          detail=None) -> None:
+        """The transmit queue refused a packet from this side: a tail drop,
+        or a queueing discipline's early or per-flow drop."""
+        self.stats.packets_dropped_queue += 1
+        self.record_drop(datagram, reason,
+                         self.name if detail is None else detail)
         if self.on_queue_drop is not None:
             self.on_queue_drop(datagram)
 
@@ -121,16 +126,6 @@ class Interface:
         """Send a datagram toward ``next_hop`` (None = on-link destination)."""
         if self.medium is None:
             raise RuntimeError(f"interface {self.name} not attached")
-        if self.scheduler is not None:
-            self.scheduler.enqueue(datagram, next_hop)
-            return
-        self.medium.transmit(self, datagram, next_hop)
-
-    def transmit_now(self, datagram: Datagram, next_hop: Optional[Address] = None) -> None:
-        """Bypass the scheduler and hand a datagram straight to the medium
-        (called by the scheduler itself when it releases a packet)."""
-        if self.medium is None:
-            raise RuntimeError(f"interface {self.name} not attached")
         self.medium.transmit(self, datagram, next_hop)
 
     def deliver(self, datagram: Datagram) -> None:
@@ -144,9 +139,11 @@ class Interface:
 
 
 class _Channel:
-    """One transmitter: the serializer frames queue behind, one at a time."""
+    """One transmitter: the serializer frames queue behind, one at a time,
+    under one discipline — drop-tail (optionally RED-fronted) or DRR."""
 
-    __slots__ = ("busy_until", "queued", "red", "far", "shared")
+    __slots__ = ("busy_until", "queued", "red", "far", "shared", "drr",
+                 "release", "releasing")
 
     def __init__(self, far: Optional[Interface] = None, shared: bool = False):
         #: Time the transmitter frees up.
@@ -161,6 +158,12 @@ class _Channel:
         self.far = far
         #: Several interfaces send through this channel (a bus).
         self.shared = shared
+        #: Optional DRR discipline holding frames until the serializer
+        #: frees (see :meth:`Medium.enable_drr`), the event callback that
+        #: releases the next one, and whether that event is pending.
+        self.drr = None
+        self.release = None
+        self.releasing = False
 
 
 class Medium:
@@ -168,7 +171,9 @@ class Medium:
 
     Every network the internet runs over is this traversal — admit to a
     transmitter, serialize at ``bandwidth_bps``, propagate for ``delay``,
-    maybe lose, land — which is all goal 3 lets IP assume.  A concrete
+    maybe lose, land — which is all goal 3 lets IP assume.  A transmitter
+    admits by drop-tail (RED-fronted if enabled) or hands the frame to a
+    DRR discipline, which holds it until the serializer frees.  A concrete
     medium declares only how it differs:
 
     * :attr:`FRAME_OVERHEAD`, its link-layer framing;
@@ -250,6 +255,10 @@ class Medium:
                 if not chan.shared:
                     iface.stats.packets_dropped_down += chan.queued
                 chan.queued = 0
+                # Frames a discipline holds die with the queue too.
+                if chan.drr is not None:
+                    iface.stats.packets_dropped_down += chan.drr.flush(
+                        "drop-link-down")
         self._up = up
 
     def enable_red(self, iface: Interface, red) -> None:
@@ -263,18 +272,36 @@ class Medium:
             raise ValueError(f"{iface} is not attached to {self.name}")
         self._channels[iface].red = red
 
+    def enable_drr(self, iface: Interface, drr) -> None:
+        """Make ``drr`` (a :class:`~repro.flows.scheduler.DrrScheduler`)
+        the discipline of the transmitter ``iface`` sends through.  It
+        holds every admitted frame; the medium releases its pick one at a
+        time, the instant the serializer frees, so the frame on the wire
+        is the only one past the discipline."""
+        chan = self._channels.get(iface)
+        if chan is None or chan.shared:
+            raise ValueError(
+                f"{iface} has no transmitter of its own on {self.name}")
+        chan.drr = drr
+        chan.release = partial(self._release, chan, iface)
+
     # ------------------------------------------------------------------
     def transmit(self, iface: Interface, datagram: Datagram,
                  next_hop: Optional[Address]) -> None:
-        """Queue a datagram for serialization toward wherever it lands."""
+        """Admit a datagram to the transmitter ``iface`` sends through."""
         if not self._up:
             iface.stats.packets_dropped_down += 1
-            obs = _obs_of(iface)
-            if obs is not None and iface.node is not None:
-                obs.drop(self.sim.now, iface.node.name, "drop-link-down",
-                         datagram, self.name)
+            iface.record_drop(datagram, "drop-link-down", self.name)
             return
         chan = self._channels[iface]
+        drr = chan.drr
+        if drr is not None:
+            # Busy means a release is pending, not busy_until > now: a
+            # frame arriving the instant the serializer frees joins the
+            # round the release is about to pick from.
+            if drr.enqueue(datagram, next_hop) and not chan.releasing:
+                self._release(chan, iface)
+            return
         red = chan.red
         if red is not None:
             verdict = red.on_enqueue(chan.queued, self.sim.now,
@@ -287,6 +314,23 @@ class Medium:
         if chan.queued >= self.queue_limit:
             iface.notify_queue_drop(datagram)
             return
+        self._serialize(chan, iface, datagram, next_hop)
+
+    def _release(self, chan: _Channel, iface: Interface) -> None:
+        """The serializer is free: put the discipline's next pick on it,
+        and come back the instant that frame is clocked out."""
+        released = chan.drr.dequeue()
+        if released is None:
+            chan.releasing = False
+            return
+        chan.releasing = True
+        self._serialize(chan, iface, *released)
+        self.sim.post_at(chan.busy_until, chan.release, label="drr:release")
+
+    def _serialize(self, chan: _Channel, iface: Interface,
+                   datagram: Datagram, next_hop: Optional[Address]) -> None:
+        """Clock an admitted frame out behind the ones ahead of it and
+        post its arrival wherever it lands."""
         length = IP_HEADER_LEN + len(datagram.payload)
         tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
         start = max(self.sim.now, chan.busy_until)
@@ -299,13 +343,14 @@ class Medium:
         arrival = start + tx_time + self.delay
         if self._in_flight is not None:
             arrival = self._in_flight(chan, datagram, arrival)
-        obs = _obs_of(iface)
-        if obs is not None and iface.node is not None:
+        node = iface.node
+        obs = None if node is None else node.obs
+        if obs is not None and obs.enabled:
             # Dwell breakdown: time waiting behind earlier frames, time on
             # the serializer, time in flight (propagation + whatever
             # _in_flight added).
             now = self.sim.now
-            obs.link_hop(now, iface.node.name, datagram, start - now,
+            obs.link_hop(now, node.name, datagram, start - now,
                          tx_time, arrival - start - tx_time, self.name)
         # A wire has one far end; elsewhere the frame is addressed to the
         # next hop (on-link destinations are their own next hop).
@@ -332,10 +377,7 @@ class Medium:
         chan.queued = max(0, chan.queued - 1)
         if self.loss.lose(self.rng, datagram.total_length):
             sender.stats.packets_lost += 1
-            obs = _obs_of(sender)
-            if obs is not None and sender.node is not None:
-                obs.drop(self.sim.now, sender.node.name, "drop-link-loss",
-                         datagram, self.name)
+            sender.record_drop(datagram, "drop-link-loss", self.name)
             return
         self._land(sender, to, datagram)
 

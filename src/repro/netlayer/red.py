@@ -12,9 +12,10 @@ drop-tail pattern that punishes precisely the hosts that back off.
 
 :class:`RedState` is pure queue-discipline math over (queue length, time):
 no simulator, no interfaces — so the marking probability is unit-testable
-at the threshold boundaries, and the same state drives both the
-:class:`~repro.netlayer.link.PointToPointLink` drop-tail queue and the
-:class:`~repro.flows.scheduler.DrrScheduler` per-flow backlog.
+at the threshold boundaries, and the same state fronts either discipline
+of a link's transmitter: the drop-tail queue
+(:meth:`~repro.netlayer.link.Medium.enable_red`) or, one state per flow,
+each :class:`~repro.flows.scheduler.DrrScheduler` flow's own backlog.
 
 Randomness comes from an injected ``random.Random`` stream; under a
 seeded :class:`~repro.sim.rand.RandomStreams` stream the mark/drop

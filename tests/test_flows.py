@@ -8,8 +8,10 @@ from repro.flows.flowspec import PROTO_RSVP, FlowSpec, flow_key_of
 from repro.flows.gateway import FlowGateway, ReservationSender, accept_reservations
 from repro.flows.scheduler import DrrScheduler
 from repro.ip.address import Address, Prefix
-from repro.ip.packet import Datagram, PROTO_UDP
-from repro.netlayer.link import Interface
+from repro.ip.node import Node
+from repro.ip.packet import Datagram, IP_HEADER_LEN, PROTO_UDP
+from repro.netlayer.link import Interface, PointToPointLink
+from repro.obs.core import Observability
 from repro.sim.engine import Simulator
 
 
@@ -55,18 +57,23 @@ def test_flow_key_of():
 # Scheduler (driven through a real bottleneck)
 # ----------------------------------------------------------------------
 def bottleneck_net(mode, **fgw_kwargs):
-    """Two senders share one slow gateway egress with the given scheduler."""
+    """Two senders share one slow gateway egress: its own 32-deep
+    drop-tail queue (``"fifo"``, no flow gateway) or a flow gateway's DRR
+    (``"drr"``)."""
     net = Internet(seed=13)
     h1, h2, sink_host = net.host("H1"), net.host("H2"), net.host("SINK")
     g = net.gateway("G")
     net.connect(h1, g, bandwidth_bps=10e6, delay=0.001)
     net.connect(h2, g, bandwidth_bps=10e6, delay=0.001)
-    out = net.connect(g, sink_host, bandwidth_bps=200_000, delay=0.005)
+    out = net.connect(g, sink_host, bandwidth_bps=200_000, delay=0.005,
+                      queue_limit=32)
     net.start_routing()
     net.converge(settle=8.0)
+    if mode == "fifo":
+        return net, h1, h2, sink_host, None
     # Attach the scheduler to the gateway's egress toward the sink.
     egress = out.ends[0] if out.ends[0].node is g.node else out.ends[1]
-    fgw = FlowGateway(g.node, egress, 200_000, mode=mode, **fgw_kwargs)
+    fgw = FlowGateway(g.node, egress, **fgw_kwargs)
     return net, h1, h2, sink_host, fgw
 
 
@@ -190,7 +197,7 @@ def test_sender_survives_two_consecutive_refresh_losses():
     net.start_routing()
     net.converge(settle=8.0)
     egress = out.ends[0] if out.ends[0].node is g.node else out.ends[1]
-    fgw = FlowGateway(g.node, egress, 200_000, mode="drr")
+    fgw = FlowGateway(g.node, egress)
     accept_reservations(sink_host)
     spec = FlowSpec(h1.address, sink_host.address, PROTO_UDP,
                     dst_port=9001, weight=4, lifetime=6.0)
@@ -219,8 +226,9 @@ def test_drr_shares_converge_to_weight_ratio():
         for host, port, weight in ((h1, 9001, 3), (h2, 9002, 1)):
             spec = FlowSpec(host.address, sink_host.address, PROTO_UDP,
                             dst_port=port, weight=weight, lifetime=120.0)
-            fgw.scheduler.install_spec(spec)
-            fgw._expiry[spec.key] = net.sim.now + spec.lifetime
+            if fgw is not None:
+                fgw.scheduler.install_spec(spec)
+                fgw._expiry[spec.key] = net.sim.now + spec.lifetime
         # Both flows offer ~2x the bottleneck with equal packet sizes, so
         # delivered-packet counts mirror the byte service ratio.  The
         # rates differ slightly: identical periods would phase-lock the
@@ -236,11 +244,12 @@ def test_drr_shares_converge_to_weight_ratio():
 
 
 # ----------------------------------------------------------------------
-# Bug regressions: crash flush, queue merge
+# Bug regressions: crash flush, queue merge, link flap
 # ----------------------------------------------------------------------
 def test_crash_flushes_scheduler_and_stays_silent():
     """A crashed gateway's queues die with it: no queued packet may reach
-    the wire after the crash, and the pending serve callback is dead."""
+    the wire after the crash, and the link's pending release finds
+    nothing."""
     net, h1, h2, sink_host, fgw = bottleneck_net("drr")
     sink = UdpSink(sink_host, 9000)
     CbrSource(h1, sink_host.address, 9000, size=500, rate=100.0,
@@ -283,27 +292,11 @@ def test_sweeper_restarts_after_crash():
     assert fgw.specs_expired >= 1
 
 
-class _RecorderMedium:
-    """A stub medium that records transmissions in order."""
-
-    mtu = 1006
-    FRAME_OVERHEAD = 0
-
-    def __init__(self):
-        self.sent = []
-
-    def transmit(self, iface, datagram, next_hop=None):
-        self.sent.append(datagram)
-
-    def is_up(self):
-        return True
-
-
-def _udp_datagram(seq, port=5004, size=200):
+def _udp_datagram(seq, port=5004, size=200, src="10.0.0.1"):
     payload = (1234).to_bytes(2, "big") + port.to_bytes(2, "big")
     payload += seq.to_bytes(4, "big")
     payload += b"\x00" * (size - len(payload))
-    return Datagram(src=Address("10.0.0.1"), dst=Address("10.0.0.2"),
+    return Datagram(src=Address(src), dst=Address("10.0.0.2"),
                     protocol=PROTO_UDP, payload=payload)
 
 
@@ -311,45 +304,110 @@ def _seq_of(datagram):
     return int.from_bytes(datagram.payload[4:8], "big")
 
 
+def drr_link():
+    """A -- B over a 100 kb/s link, DRR on A's transmitter; returns the
+    scheduler, the link, and the sequence numbers B receives, in order."""
+    sim = Simulator()
+    prefix = Prefix.parse("10.0.0.0/24")
+    a, b = Node("A", sim), Node("B", sim)
+    ia = a.add_interface(Interface("a0", prefix.host(254), prefix))
+    ib = b.add_interface(Interface("b0", prefix.host(2), prefix))
+    link = PointToPointLink(sim, ia, ib, bandwidth_bps=100_000.0,
+                            delay=0.001)
+    got = []
+    b.register_protocol(PROTO_UDP, lambda n, d, i: got.append(_seq_of(d)))
+    return DrrScheduler(ia), link, got
+
+
 def test_install_spec_merges_implicit_queue_without_reorder():
     """Packets queued before the reservation arrives must be served ahead
     of packets queued after it — one flow, one queue.  The regression:
     install left the backlog under ``flow_key_of()`` while new arrivals
     classified to the spec key, and DRR interleaved the two."""
-    sim = Simulator()
-    iface = Interface("x", Address("10.0.0.254"), Prefix.parse("10.0.0.0/24"))
-    iface.medium = _RecorderMedium()
-    sched = DrrScheduler(sim, iface, 100_000.0, mode="drr")
+    sched, link, got = drr_link()
     for seq in range(6):
-        sched.enqueue(_udp_datagram(seq), None)
-    # seq 0 went straight out; 1..5 sit in the implicit flow_key_of queue.
+        link.ends[0].output(_udp_datagram(seq))
+    # seq 0 went straight onto the serializer; 1..5 sit in the implicit
+    # flow_key_of queue.
     spec = FlowSpec(Address("10.0.0.1"), Address("10.0.0.2"), PROTO_UDP,
                     dst_port=5004, weight=4, lifetime=60.0)
     sched.install_spec(spec)
     assert sched.stats.migrated == 5
     for seq in range(6, 12):
-        sched.enqueue(_udp_datagram(seq), None)
-    sim.run(until=10.0)
-    seqs = [_seq_of(d) for d in iface.medium.sent]
-    assert seqs == list(range(12))
+        link.ends[0].output(_udp_datagram(seq))
+    sched.sim.run(until=10.0)
+    assert got == list(range(12))
 
 
 def test_remove_spec_migrates_backlog_back():
     """Expiry while packets are queued under the spec key: the backlog
     moves to the implicit key future packets will classify to, and the
-    flow keeps serving in order."""
-    sim = Simulator()
-    iface = Interface("x", Address("10.0.0.254"), Prefix.parse("10.0.0.0/24"))
-    iface.medium = _RecorderMedium()
-    sched = DrrScheduler(sim, iface, 100_000.0, mode="drr")
+    flow keeps arriving in order."""
+    sched, link, got = drr_link()
     spec = FlowSpec(Address("10.0.0.1"), Address("10.0.0.2"), PROTO_UDP,
                     dst_port=5004, weight=4, lifetime=60.0)
     sched.install_spec(spec)
     for seq in range(6):
-        sched.enqueue(_udp_datagram(seq), None)
+        link.ends[0].output(_udp_datagram(seq))
     sched.remove_spec(spec.key)
+    assert sched.stats.migrated == 5
     for seq in range(6, 12):
-        sched.enqueue(_udp_datagram(seq), None)
-    sim.run(until=10.0)
-    seqs = [_seq_of(d) for d in iface.medium.sent]
-    assert seqs == list(range(12))
+        link.ends[0].output(_udp_datagram(seq))
+    sched.sim.run(until=10.0)
+    assert got == list(range(12))
+
+
+def test_link_flap_flushes_held_frames_like_drop_tail():
+    """Lowering a link kills what its transmitter holds, whatever the
+    discipline.  The drift this pins: a scheduler in front of the link
+    never heard of the flap, kept serving one frame per frame time into
+    the down medium (each counted as sent by the scheduler, then dropped
+    by the link), and whatever it still held when the link came back
+    survived the flap that killed every drop-tail frame."""
+    sched, link, got = drr_link()
+    ia = link.ends[0]
+    obs = Observability()
+    obs.attach_node(ia.node)
+    for seq in range(10):
+        ia.output(_udp_datagram(seq))
+    sched.sim.run(until=0.03)
+    held, on_wire = sched.queued_packets, link._channels[ia].queued
+    assert held > 0 and on_wire > 0
+    dequeued = sched.stats.dequeued
+    link.set_up(False)
+    assert sched.queued_packets == 0
+    assert sched.stats.flushed == held
+    assert ia.stats.packets_dropped_down == held + on_wire
+    assert obs.registry.counter_total(
+        "ip_drops", node="A", reason="drop-link-down") == held
+    sched.sim.run(until=1.0)
+    link.set_up(True)
+    sched.sim.run(until=2.0)
+    assert sched.stats.dequeued == dequeued
+    assert ia.stats.packets_sent == dequeued
+    assert len(got) == dequeued - on_wire
+    assert sched.stats.enqueued == dequeued + sched.stats.flushed
+
+
+def test_after_a_crash_the_next_release_waits_for_the_serializer():
+    """A crash flushes what the discipline holds, round and all; the frame
+    already on the wire keeps the serializer.  A node back up inside that
+    frame time has its next frame released when the serializer frees, not
+    at once into a busy link, and its flows take turns in the order they
+    came back, not the order they had before the crash."""
+    sched, link, got = drr_link()
+    ia = link.ends[0]
+    for seq, src in enumerate(["10.0.0.1", "10.0.0.1", "10.0.0.3",
+                               "10.0.0.4"]):
+        ia.output(_udp_datagram(seq, src=src))
+    assert sched.flush() == 3
+    ia.output(_udp_datagram(4, src="10.0.0.4"))
+    ia.output(_udp_datagram(5, src="10.0.0.1"))
+    assert sched.stats.dequeued == 1 and sched.queued_packets == 2
+    frees = (200 + IP_HEADER_LEN + link.FRAME_OVERHEAD) * 8 / 100_000.0
+    sched.sim.run(until=frees * 0.99)
+    assert sched.stats.dequeued == 1
+    sched.sim.run(until=frees)
+    assert sched.stats.dequeued == 2
+    sched.sim.run(until=1.0)
+    assert got == [0, 4, 5]

@@ -1,6 +1,6 @@
 """Chaos-side tests for the flows subsystem: the soft-state invariant
-monitor, crashed-gateway silence with a scheduler attached, the flows MIB
-subtree, and the three-way FIFO/VC/DRR race campaign."""
+monitor, crashed-gateway silence with a DRR discipline attached, the flows
+MIB subtree, and the three-way FIFO/VC/DRR race campaign."""
 
 from repro import Internet
 from repro.apps.traffic import CbrSource, UdpSink
@@ -12,7 +12,7 @@ from repro.ip.packet import PROTO_UDP
 from repro.netmgmt.mib import build_mib
 
 
-def bottleneck_net(mode="drr"):
+def bottleneck_net():
     """The shared two-senders-one-slow-egress preset (seed 13)."""
     net = Internet(seed=13)
     h1, h2, sink_host = net.host("H1"), net.host("H2"), net.host("SINK")
@@ -23,7 +23,7 @@ def bottleneck_net(mode="drr"):
     net.start_routing()
     net.converge(settle=8.0)
     egress = out.ends[0] if out.ends[0].node is g.node else out.ends[1]
-    fgw = FlowGateway(g.node, egress, 200_000, mode=mode)
+    fgw = FlowGateway(g.node, egress)
     return net, h1, h2, sink_host, fgw
 
 
@@ -43,7 +43,7 @@ def test_crashed_gateway_silent_under_campaign():
     """Regression: the serve loop used to keep draining a crashed
     gateway's queues onto the wire.  The blackout monitor's transmit
     check must stay green with a saturated scheduler attached."""
-    net, h1, h2, sink_host, fgw = bottleneck_net("drr")
+    net, h1, h2, sink_host, fgw = bottleneck_net()
     UdpSink(sink_host, 9000)
     CbrSource(h1, sink_host.address, 9000, size=500, rate=100.0,
               duration=12.0)
@@ -63,7 +63,7 @@ def test_crashed_gateway_silent_under_campaign():
 # FlowStateMonitor
 # ----------------------------------------------------------------------
 def test_flow_state_monitor_records_reinstall():
-    net, h1, h2, sink_host, fgw = bottleneck_net("drr")
+    net, h1, h2, sink_host, fgw = bottleneck_net()
     _reserved_voiceish_flow(net, h1, sink_host)
     now = net.sim.now
     monitor = FlowStateMonitor(refresh_interval=1.0)
@@ -80,7 +80,7 @@ def test_flow_state_monitor_records_reinstall():
 def test_flow_state_monitor_violates_when_refresh_stops():
     """If the endpoint stops refreshing, the reborn gateway never relearns
     the reservation — the monitor must call that out."""
-    net, h1, h2, sink_host, fgw = bottleneck_net("drr")
+    net, h1, h2, sink_host, fgw = bottleneck_net()
     spec, sender = _reserved_voiceish_flow(net, h1, sink_host)
     now = net.sim.now
     net.sim.schedule(3.0, sender.stop)    # silence right at the crash
@@ -97,7 +97,7 @@ def test_flow_state_monitor_violates_when_refresh_stops():
 # Management plane surface
 # ----------------------------------------------------------------------
 def test_mib_exposes_flows_subtree():
-    net, h1, h2, sink_host, fgw = bottleneck_net("drr")
+    net, h1, h2, sink_host, fgw = bottleneck_net()
     _reserved_voiceish_flow(net, h1, sink_host)
     net.sim.run(until=net.sim.now + 3)
     tree = build_mib(fgw.node)
@@ -114,7 +114,7 @@ def test_mib_exposes_flows_subtree():
 
 
 def test_mib_has_no_flows_subtree_without_gateway():
-    net, h1, h2, sink_host, fgw = bottleneck_net("drr")
+    net, h1, h2, sink_host, fgw = bottleneck_net()
     tree = build_mib(h1.node)             # a plain host
     assert "flows.state_losses" not in tree
 

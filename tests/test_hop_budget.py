@@ -11,6 +11,8 @@ redirect advice, the link-down drop and the MTU boundary.
 import cProfile
 import pstats
 
+from repro.flows import scheduler
+from repro.flows.scheduler import DrrScheduler
 from repro.ip import icmp
 from repro.ip.address import Address, Prefix
 from repro.ip.node import Node
@@ -140,9 +142,11 @@ def link_layer_calls(run) -> int:
 
 
 def test_p2p_traversal_is_seven_calls():
-    """``output``, ``transmit``, ``_obs_of``, then ``_arrive``, ``lose``,
-    ``_land``, ``deliver``: 7, as at the parent of the one-traversal
-    refactor (where ``other_end`` stood in ``_land``'s place)."""
+    """``output``, ``transmit``, ``_serialize``, then ``_arrive``,
+    ``lose``, ``_land``, ``deliver``: 7, as at the parent of the
+    one-traversal refactor (where ``other_end`` stood in ``_land``'s
+    place) and of the DRR fold (where ``_obs_of`` stood in
+    ``_serialize``'s)."""
     sim, ia, ib = pair_on(lambda sim, prefix, ia, ib: PointToPointLink(
         sim, ia, ib, bandwidth_bps=10_000_000, delay=0.001, mtu=1500))
     calls = link_layer_calls(lambda: sim.run(until=1.0))
@@ -163,8 +167,70 @@ def test_lan_traversal_is_seven_calls():
     assert calls == 7 * DATAGRAMS
 
 
+def drr_bursts(bursts):
+    """A → B at 10 Mb/s with DRR as A's discipline; every millisecond a
+    burst of three 284-byte frames, one per flow, which drains before the
+    next: the first goes straight onto the serializer, the other two wait
+    for a release."""
+    sim = Simulator()
+    prefix = Prefix.parse("10.0.1.0/24")
+    a, b = Node("A", sim), Node("B", sim)
+    ia = a.add_interface(Interface("a0", prefix.host(1), prefix))
+    ib = b.add_interface(Interface("b0", prefix.host(2), prefix))
+    PointToPointLink(sim, ia, ib, bandwidth_bps=10_000_000, delay=0.001,
+                     mtu=1500)
+    DrrScheduler(ia)
+    b.register_protocol(PROTO_UDP, lambda node, datagram, iface: None)
+
+    def burst():
+        for host in (10, 11, 12):
+            ia.output(Datagram(src=prefix.host(host), dst=ib.address,
+                               protocol=PROTO_UDP, payload=b"x" * 256))
+    for i in range(bursts):
+        sim.post(0.001 * i, burst)
+    return sim, ib
+
+
+def test_drr_traversal_is_twelve_calls_per_frame(monkeypatch):
+    """``output``, ``transmit``, ``enqueue``, ``_classify``,
+    ``flow_key_of``, ``_release``, ``dequeue``, ``_serialize``, then
+    ``_arrive``, ``lose``, ``_land``, ``deliver``: 12 per frame, plus once
+    per burst the release that finds nothing held (``_release``,
+    ``dequeue``).  The scheduler in front of the link took 14 per frame
+    (its serve lambda, ``_serve_next``, ``_select``, ``transmit_now``,
+    ``_obs_of``) + 2 per burst, and built a cancellable ``EventHandle``
+    per frame; the discipline builds nothing per frame, and one flow
+    queue per flow, ever."""
+    flow_queues = []
+
+    class CountedFlowQueue(scheduler._FlowQueue):
+        def __init__(self, key, **kwargs):
+            super().__init__(key, **kwargs)
+            flow_queues.append(key)
+    monkeypatch.setattr(scheduler, "_FlowQueue", CountedFlowQueue)
+    calls = {}
+    for bursts in (DATAGRAMS, 4 * DATAGRAMS):
+        del flow_queues[:]
+        sim, ib = drr_bursts(bursts)
+        profile = cProfile.Profile()
+        profile.enable()
+        sim.run(until=1.0 + 0.001 * bursts)
+        profile.disable()
+        assert ib.stats.packets_delivered == 3 * bursts
+        stats = pstats.Stats(profile).stats.items()
+        calls[bursts] = sum(
+            ncalls for (filename, _, _), (_, ncalls, *_) in stats
+            if "/repro/netlayer/" in filename or "/repro/flows/" in filename)
+        assert calls[bursts] == 12 * 3 * bursts + 2 * bursts
+        assert sum(ncalls for (filename, _, name), (_, ncalls, *_) in stats
+                   if filename.endswith("/repro/sim/engine.py")
+                   and name == "__init__") == 0          # no EventHandle
+        assert len(flow_queues) == 3
+    assert calls[4 * DATAGRAMS] <= 4.1 * calls[DATAGRAMS]
+
+
 def test_conduit_crossing_is_ten_calls():
-    """Egress ``output``, ``transmit``, ``_obs_of``, ``_in_flight`` (the
+    """Egress ``output``, ``transmit``, ``_serialize``, ``_in_flight`` (the
     wire record), then the slot release ``_arrive``, ``lose``, ``_land``;
     ingress ``_Ingress()``, its call, ``deliver``: 10.  The parent's 5
     (``output``, ``transmit`` and the same ingress) bought no queue limit,

@@ -86,7 +86,7 @@ def test_node_crash_traced(sim):
 # ----------------------------------------------------------------------
 # Scheduler ordering details
 # ----------------------------------------------------------------------
-def test_fifo_mode_preserves_arrival_order(sim):
+def p2p_pair(sim):
     a = Node("A", sim)
     b = Node("B", sim)
     ia = a.add_interface(Interface("a0", Address("10.0.1.1"),
@@ -94,37 +94,36 @@ def test_fifo_mode_preserves_arrival_order(sim):
     ib = b.add_interface(Interface("b0", Address("10.0.1.2"),
                                    Prefix.parse("10.0.1.0/24")))
     PointToPointLink(sim, ia, ib, bandwidth_bps=10e6, delay=0.001)
-    sched = DrrScheduler(sim, ia, 100_000, mode="fifo")
+    return a, b, ia
+
+
+def test_drop_tail_preserves_arrival_order(sim):
+    """The 1988 gateway is the link's own drop-tail queue: two "flows"
+    interleaved in a burst must not be reordered across flows."""
+    a, b, ia = p2p_pair(sim)
     got = []
     b.register_protocol(PROTO_UDP,
                         lambda n, d, i: got.append(d.payload[:1]))
-    # Two "flows" interleaved; FIFO must not reorder across flows.
     for i in range(10):
-        src = "10.0.1.1"
         a.send("10.0.1.2", PROTO_UDP,
                (b"A" if i % 2 == 0 else b"B") + bytes([i]))
     sim.run(until=5)
-    assert len(got) == 10
     assert got == [b"A", b"B"] * 5
 
 
 def test_drr_flow_stats_expose_service(sim):
-    a = Node("A", sim)
-    ia = a.add_interface(Interface("a0", Address("10.0.1.1"),
-                                   Prefix.parse("10.0.1.0/24")))
-    b = Node("B", sim)
-    ib = b.add_interface(Interface("b0", Address("10.0.1.2"),
-                                   Prefix.parse("10.0.1.0/24")))
-    PointToPointLink(sim, ia, ib, bandwidth_bps=10e6, delay=0.001)
-    sched = DrrScheduler(sim, ia, 1_000_000, mode="drr")
-    b.register_protocol(PROTO_UDP, lambda n, d, i: None)
-    for _ in range(5):
-        a.send("10.0.1.2", PROTO_UDP, b"x" * 100)
+    a, b, ia = p2p_pair(sim)
+    sched = DrrScheduler(ia)
+    got = []
+    b.register_protocol(PROTO_UDP, lambda n, d, i: got.append(d.payload[0]))
+    for i in range(5):
+        a.send("10.0.1.2", PROTO_UDP, bytes([i]) + b"x" * 99)
     sim.run(until=2)
     stats = sched.flow_stats()
     assert sum(packets for packets, drops in stats.values()) == 5
     assert sched.stats.dequeued == 5
     assert sched.queued_packets == 0
+    assert got == list(range(5))      # released in order at the far end
 
 
 # ----------------------------------------------------------------------
