@@ -27,14 +27,15 @@ Cross-shard links are *conduits*: the egress half (:class:`ConduitPort`)
 is the link's own transmit path
 (:meth:`~repro.netlayer.link.Medium.transmit` — admission, queue limit,
 serialization, propagation, up/down), not a copy of it; only the landing
-differs.  Instead of delivering at a local arrival it serializes the
-datagram to RFC-791 wire bytes and appends ``(arrival, dst_shard,
-dst_port, wire, trace_id)`` to the shard's outbox as soon as the arrival
-instant is known; the local arrival event just frees the queue slot.
-The ingress half parses the bytes back and delivers to the attached
-interface.
-Crossing the seam by value, never by reference, is what makes one-process
-and N-process execution indistinguishable.
+differs.  As soon as the arrival instant is known it appends ``(arrival,
+dst_shard, dst_port, datagram)`` to the shard's outbox, and the local
+arrival event just frees the queue slot; the far shard delivers the
+datagram to the attached interface.
+Crossing the seam hands over the datagram itself, exactly what a
+one-process link lands: nothing mutates a datagram a medium has admitted
+(a transit hop copies it first).  Bytes exist only where a pipe does: a
+forked worker sends its outbox as RFC-791 wire records ``(arrival,
+dst_shard, dst_port, wire, trace_id)`` and parses the batch it receives.
 
 Determinism
 -----------
@@ -47,13 +48,14 @@ Same seed ⇒ byte-identical results at any worker count:
   its tie-break for same-timestamp events — is reproducible;
 * ``workers=1`` runs every shard harness in-process through the *same*
   window loop; ``workers=N`` forks one process per shard and moves the
-  identical tuples over pipes.  Nothing about the schedule depends on
-  which mode executed it.
+  same records, as wire bytes, over pipes.  Nothing about the schedule
+  depends on which mode executed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter, process_time
 from typing import Callable, Optional
 
@@ -73,13 +75,14 @@ class ConduitPort(Medium):
     propagation, up/down, journey span), so a topology partitioned across
     shards keeps the exact packet timing and drops it has in one process.
     Only the landing differs: the far end lives in another simulator and
-    must learn of each arrival a lookahead early, so the datagram leaves
-    as an outbox record the moment its arrival instant is known.  The
-    local arrival event still fires, to free the queue slot at the same
-    instant (and in the same same-timestamp order) a one-process link
-    would.  What has left cannot be recalled: a conduit lowered with
-    datagrams in flight accounts them as flushed but the far shard still
-    receives them, and a conduit's wire is lossless.
+    must learn of each arrival a lookahead early, so the datagram itself
+    (the reference a one-process link lands, not a copy) leaves as an
+    outbox record the moment its arrival instant is known.  The local
+    arrival event still fires, to free the queue slot at the same instant
+    (and in the same same-timestamp order) a one-process link would.
+    What has left cannot be recalled: a conduit lowered with datagrams in
+    flight accounts them as flushed but the far shard still receives
+    them, and a conduit's wire is lossless.
     """
 
     FRAME_OVERHEAD = PointToPointLink.FRAME_OVERHEAD
@@ -111,9 +114,7 @@ class ConduitPort(Medium):
         iface.medium = self
 
     def _in_flight(self, chan, datagram, arrival: float) -> float:
-        self.outbox.append(
-            (arrival, self.dst_shard, self.dst_port, datagram.to_bytes(),
-             datagram.trace_id))
+        self.outbox.append((arrival, self.dst_shard, self.dst_port, datagram))
         return arrival
 
     def _land(self, sender, to, datagram) -> None:
@@ -132,7 +133,7 @@ class ShardBuild:
     #: Object owning ``.sim`` (an Internet, or anything with a Simulator).
     net: object
     #: Ingress attachment points: port name -> Interface.  Cross-shard
-    #: messages addressed to a port are parsed and delivered here.
+    #: messages addressed to a port are delivered here.
     ports: dict = field(default_factory=dict)
     #: The list every local ConduitPort appends egress records to.
     outbox: list = field(default_factory=list)
@@ -148,36 +149,36 @@ class ShardHarness:
         self.shard_id = shard_id
         self.build = builder(shard_id, n_shards)
         self.sim: Simulator = self.build.net.sim
+        #: Port name -> (interface, arrival event label built once).
+        self._ingress = {name: (iface, f"conduit:{name}")
+                         for name, iface in self.build.ports.items()}
         self._cpu_base = process_time()
 
     def deliver(self, messages) -> None:
         """Schedule arrivals for this window's cross-shard messages.
 
-        ``messages`` come pre-merged in ``(arrival, src_shard,
-        emission_index)`` order; posting them in that order fixes the
-        destination heap's tie-break, so delivery is deterministic.
+        ``messages`` are outbox records pre-merged in ``(arrival,
+        src_shard, emission_index)`` order; posting them in that order fixes
+        the destination heap's tie-break, so delivery is deterministic.
         """
-        ports = self.build.ports
+        ingress = self._ingress
         sim = self.sim
         now = sim.now
-        for arrival, port_name, wire, trace_id in messages:
+        for arrival, _dst_shard, port_name, datagram in messages:
             if arrival < now:
                 raise SimulationError(
                     f"late cross-shard message: arrival {arrival} < now {now} "
                     f"(lookahead window too wide for the conduit delays)")
-            iface = ports[port_name]
-            sim.post_at(arrival,
-                        _Ingress(iface, wire, trace_id),
-                        label=f"conduit:{port_name}")
+            iface, label = ingress[port_name]
+            sim.post_at(arrival, partial(iface.deliver, datagram),
+                        label=label)
 
     def run_window(self, until: float) -> list:
         """Advance to the barrier; return (and clear) the egress outbox."""
         self.sim.run(until=until)
         outbox = self.build.outbox
-        if outbox:
-            out, outbox[:] = list(outbox), []
-            return out
-        return []
+        out, outbox[:] = outbox[:], []
+        return out
 
     def collect(self) -> dict:
         summary = self.build.collect() if self.build.collect is not None else {}
@@ -187,20 +188,21 @@ class ShardHarness:
         return summary
 
 
-class _Ingress:
-    """Deferred ingress parse+deliver (cheaper than a closure per packet)."""
+def _to_wire(records: list) -> list:
+    """Outbox records as the pipe carries them: ``(arrival, dst_shard,
+    port, wire, trace_id)``, the datagram as RFC-791 bytes."""
+    return [(arrival, dst_shard, port, datagram.to_bytes(), datagram.trace_id)
+            for arrival, dst_shard, port, datagram in records]
 
-    __slots__ = ("iface", "wire", "trace_id")
 
-    def __init__(self, iface, wire, trace_id):
-        self.iface = iface
-        self.wire = wire
-        self.trace_id = trace_id
-
-    def __call__(self) -> None:
-        datagram = Datagram.from_bytes(self.wire)
-        datagram.trace_id = self.trace_id
-        self.iface.deliver(datagram)
+def _from_wire(records: list) -> list:
+    """Wire records from a pipe, parsed back into outbox records."""
+    parsed = []
+    for arrival, dst_shard, port, wire, trace_id in records:
+        datagram = Datagram.from_bytes(wire)
+        datagram.trace_id = trace_id
+        parsed.append((arrival, dst_shard, port, datagram))
+    return parsed
 
 
 def _worker_main(conn, shard_id: int, n_shards: int, builder) -> None:
@@ -212,8 +214,8 @@ def _worker_main(conn, shard_id: int, n_shards: int, builder) -> None:
             op = cmd[0]
             if op == "run":
                 _op, until, messages = cmd
-                harness.deliver(messages)
-                conn.send(harness.run_window(until))
+                harness.deliver(_from_wire(messages))
+                conn.send(_to_wire(harness.run_window(until)))
             elif op == "collect":
                 conn.send(harness.collect())
             elif op == "stop":
@@ -258,8 +260,8 @@ class ShardedSimulation:
         self._now = 0.0
         self._windows = 0
         self._messages_crossed = 0
-        #: Undelivered cross-shard messages as
-        #: (arrival, src_shard, emission_index, dst_shard, port, wire, tid).
+        #: Undelivered (arrival, src_shard, emission_index, record): an
+        #: outbox record in process, a wire record from a forked worker.
         self._pending: list[tuple] = []
         self._harnesses: list[ShardHarness] = []
         self._procs: list = []
@@ -311,14 +313,13 @@ class ShardedSimulation:
             merged = []
             for src_shard, outbox in enumerate(outboxes):
                 for index, record in enumerate(outbox):
-                    arrival, dst_shard, port, wire, tid = record
+                    arrival = record[0]
                     if arrival <= t_next:
                         raise SimulationError(
                             f"conduit violated lookahead: message for shard "
-                            f"{dst_shard} arrives at {arrival} <= barrier "
+                            f"{record[1]} arrives at {arrival} <= barrier "
                             f"{t_next}")
-                    merged.append((arrival, src_shard, index, dst_shard,
-                                   port, wire, tid))
+                    merged.append((arrival, src_shard, index, record))
             self._messages_crossed += len(merged)
             self._pending.extend(merged)
             self._windows += 1
@@ -328,16 +329,13 @@ class ShardedSimulation:
 
     def _split_deliverable(self, t_next: float) -> list[list]:
         """Messages due by ``t_next``, per destination shard, merge-sorted."""
-        if self._pending:
-            due = [m for m in self._pending if m[0] <= t_next]
-            if due:
-                self._pending = [m for m in self._pending if m[0] > t_next]
-                due.sort(key=lambda m: (m[0], m[1], m[2]))
-        else:
-            due = []
+        due = [m for m in self._pending if m[0] <= t_next]
+        if due:
+            self._pending = [m for m in self._pending if m[0] > t_next]
+            due.sort(key=lambda m: (m[0], m[1], m[2]))
         batches: list[list] = [[] for _ in range(self.n_shards)]
-        for arrival, _src, _idx, dst_shard, port, wire, tid in due:
-            batches[dst_shard].append((arrival, port, wire, tid))
+        for _arrival, _src, _idx, record in due:
+            batches[record[1]].append(record)
         return batches
 
     def _round(self, t_next: float, batches: list[list]) -> list[list]:

@@ -111,9 +111,9 @@ def test_python_calls_per_hop_under_ceiling():
 # ----------------------------------------------------------------------
 # The traversal budget: one link crossing, by medium
 # ----------------------------------------------------------------------
-def pair_on(attach):
+def pair_on(attach, sends=DATAGRAMS):
     """A and B, one interface each, joined by whatever ``attach`` builds;
-    DATAGRAMS sends A → B posted one per millisecond."""
+    ``sends`` datagrams A → B posted one per millisecond."""
     sim = Simulator()
     prefix = Prefix.parse("10.0.1.0/24")
     a, b = Node("A", sim), Node("B", sim)
@@ -121,7 +121,7 @@ def pair_on(attach):
     ib = b.add_interface(Interface("b0", prefix.host(2), prefix))
     attach(sim, prefix, ia, ib)
     b.register_protocol(PROTO_UDP, lambda node, datagram, iface: None)
-    for i in range(DATAGRAMS):
+    for i in range(sends):
         sim.post(0.001 * i, lambda: ia.output(Datagram(
             src=ia.address, dst=ib.address, protocol=PROTO_UDP,
             payload=b"x" * 256)))
@@ -229,36 +229,52 @@ def test_drr_traversal_is_twelve_calls_per_frame(monkeypatch):
     assert calls[4 * DATAGRAMS] <= 4.1 * calls[DATAGRAMS]
 
 
-def test_conduit_crossing_is_ten_calls():
+#: The RFC-791 codec: none of it may run for an in-process crossing.
+CODEC = {("/repro/ip/packet.py", "to_bytes"),
+         ("/repro/ip/packet.py", "from_bytes"),
+         ("/repro/ip/checksum.py", "internet_checksum"),
+         ("/repro/ip/checksum.py", "verify_checksum")}
+
+
+def test_conduit_crossing_is_eight_calls():
     """Egress ``output``, ``transmit``, ``_serialize``, ``_in_flight`` (the
-    wire record), then the slot release ``_arrive``, ``lose``, ``_land``;
-    ingress ``_Ingress()``, its call, ``deliver``: 10.  The parent's 5
-    (``output``, ``transmit`` and the same ingress) bought no queue limit,
-    no up/down, no RED and no journey span; the 5 more are the link's.
-    One window each side adds ``deliver`` + ``run_window`` twice."""
+    outbox record), then the slot release ``_arrive``, ``lose``, ``_land``;
+    ingress ``deliver``, which the far shard posts bound to the datagram
+    itself: 8.  The parent's 10 spent two more on the ingress parse
+    (``_Ingress()`` and its call) and ran the codec twice per crossing —
+    a pack with its header checksum, then an unpack with its verify.  One
+    window each side adds ``deliver`` + ``run_window`` twice."""
     class Net:
         pass
-    outbox = []
-    sim, ia, ib = pair_on(lambda sim, prefix, ia, ib: ConduitPort(
-        sim, ia, dst_shard=1, dst_port="b", outbox=outbox,
-        bandwidth_bps=10_000_000, delay=0.001, mtu=1500))
-    egress_net, ingress_net = Net(), Net()
-    egress_net.sim, ingress_net.sim = sim, Simulator()
-    ib.node.sim = ingress_net.sim
-    egress = ShardHarness(0, 2, lambda shard, n: ShardBuild(
-        net=egress_net, outbox=outbox))
-    ingress = ShardHarness(1, 2, lambda shard, n: ShardBuild(
-        net=ingress_net, ports={"b": ib}))
-
-    def cross():
+    calls = {}
+    for sends in (DATAGRAMS, 4 * DATAGRAMS):
+        outbox = []
+        sim, ia, ib = pair_on(lambda sim, prefix, ia, ib: ConduitPort(
+            sim, ia, dst_shard=1, dst_port="b", outbox=outbox,
+            bandwidth_bps=10_000_000, delay=0.001, mtu=1500), sends)
+        egress_net, ingress_net = Net(), Net()
+        egress_net.sim, ingress_net.sim = sim, Simulator()
+        ib.node.sim = ingress_net.sim
+        egress = ShardHarness(0, 2, lambda shard, n: ShardBuild(
+            net=egress_net, outbox=outbox))
+        ingress = ShardHarness(1, 2, lambda shard, n: ShardBuild(
+            net=ingress_net, ports={"b": ib}))
+        profile = cProfile.Profile()
+        profile.enable()
         egress.deliver([])
-        records = egress.run_window(1.0)
-        ingress.deliver([(arrival, port, wire, tid)
-                         for arrival, _, port, wire, tid in records])
-        ingress.run_window(1.0)
-    calls = link_layer_calls(cross)
-    assert ib.stats.packets_delivered == DATAGRAMS
-    assert calls == 10 * DATAGRAMS + 4
+        ingress.deliver(egress.run_window(5.0))   # records pass straight on
+        ingress.run_window(5.0)
+        profile.disable()
+        assert ib.stats.packets_delivered == sends
+        stats = pstats.Stats(profile).stats.items()
+        calls[sends] = sum(
+            ncalls for (filename, _, _), (_, ncalls, *_) in stats
+            if "/repro/netlayer/" in filename or "/repro/sim/shard" in filename)
+        assert calls[sends] == 8 * sends + 4
+        assert sum(ncalls for (filename, _, name), (_, ncalls, *_) in stats
+                   if any(filename.endswith(module) and name == function
+                          for module, function in CODEC)) == 0
+    assert calls[4 * DATAGRAMS] <= 4.1 * calls[DATAGRAMS]
 
 
 # ----------------------------------------------------------------------

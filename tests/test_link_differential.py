@@ -44,7 +44,7 @@ from repro.netlayer.red import RedParams, RedState
 from repro.netlayer.satellite import SatelliteLink
 from repro.netlayer.x25 import X25Subnet
 from repro.sim.engine import Simulator
-from repro.sim.shard import ConduitPort
+from repro.sim.shard import ConduitPort, _to_wire
 
 PREFIX = Prefix.parse("10.0.1.0/24")
 
@@ -644,14 +644,15 @@ CONDUIT_WIRE = dict(bandwidth_bps=WIRE["bandwidth_bps"],
        **CONDUIT_WIRE)
 def test_conduit_keeps_the_parents_timing_and_bytes(sends, **kwargs):
     """Up, and with fewer sends than ``queue_limit`` (64) so nothing is
-    refused: the parent's outbox, record for record."""
+    refused: the parent's outbox, record for record, once the live records
+    go through the wire codec a forked worker sends them with."""
     program = []
     for size, dt in sends:
         program += [("send", 0, size, False, None), ("advance", dt)]
     worlds = [conduit_world(OracleConduitPort, **kwargs),
               conduit_world(ConduitPort, **kwargs)]
     run_program(worlds, program)
-    assert worlds[0].outbox == worlds[1].outbox
+    assert worlds[0].outbox == _to_wire(worlds[1].outbox)
     assert len(worlds[1].outbox) == len(sends)
 
 
@@ -668,11 +669,12 @@ def test_conduit_admits_like_the_same_link_in_one_process(
     for world in (link, conduit):
         world.enable_red(red, world.ifaces[:1])
     run_program([link, conduit], program)
-    # Everything admitted left as wire bytes at once; what the link world
-    # delivered is, in order, the part of it no later lowering flushed
-    # (what has left a conduit cannot be recalled).
+    # Everything admitted left at once (read here as the wire records a
+    # forked worker sends); what the link world delivered is, in order,
+    # the part of it no later lowering flushed (what has left a conduit
+    # cannot be recalled).
     left = [(arrival, Datagram.from_bytes(wire).ident)
-            for arrival, _, _, wire, _ in conduit.outbox]
+            for arrival, _, _, wire, _ in _to_wire(conduit.outbox)]
     assert len(left) == conduit.ifaces[0].stats.packets_sent
     landed = [(when, ident) for when, _, ident, _ in link.node.arrivals]
     assert sorted(set(landed) & set(left)) == sorted(landed)

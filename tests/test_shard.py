@@ -8,14 +8,18 @@ timing exactly, even the *partition* must not change any packet outcome.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.harness.scaletopo import MultiAsBuilder, ScaleConfig
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.shard import ConduitPort, ShardedSimulation
+from repro.sim.shard import (ConduitPort, ShardBuild, ShardedSimulation,
+                             _worker_main)
 from repro.netlayer.link import Interface
 from repro.ip.address import Address, Prefix
+from repro.ip.node import Node
+from repro.ip.packet import Datagram, PROTO_UDP, TOS_ECT
 
 # 3 gateways/AS: spoke 1 sends intra-AS, spoke 2 cross-AS — both flow
 # kinds exist, so the seam actually carries traffic.
@@ -51,11 +55,13 @@ def totals(summaries):
 # Worker-count independence (1 vs N processes, same shards)
 # ----------------------------------------------------------------------
 def test_forked_workers_byte_identical_to_inline():
-    inline, meta_i = run_scenario(n_shards=2, workers=1)
-    forked, meta_f = run_scenario(n_shards=2, workers=2)
-    assert digest(inline, meta_i) == digest(forked, meta_f)
-    assert totals(inline)["sink_packets"] > 0  # traffic actually flowed
-    assert meta_i[1] > 0  # and actually crossed the seam
+    # Only a forked worker runs the wire codec, so this is its load test.
+    for n_shards in (2, 4):
+        inline, meta_i = run_scenario(n_shards=n_shards, workers=1)
+        forked, meta_f = run_scenario(n_shards=n_shards, workers=2)
+        assert digest(inline, meta_i) == digest(forked, meta_f), n_shards
+        assert totals(inline)["sink_packets"] > 0  # traffic actually flowed
+        assert meta_i[1] > 0  # and actually crossed the seam
 
 
 def test_excess_workers_clamp_to_shard_count():
@@ -161,10 +167,9 @@ def test_conduit_requires_positive_delay():
                     delay=0.0)
 
 
-def test_conduit_serializes_by_value():
-    """A datagram crossing the seam travels as wire bytes with p2p timing."""
-    from repro.ip.packet import Datagram
-
+def test_conduit_hands_off_the_transmitted_datagram():
+    """In process, a datagram crosses the seam as itself, with p2p timing:
+    the outbox record holds the object the sender transmitted."""
     sim = Simulator()
     prefix = Prefix(Address("10.254.0.0"), 30)
     iface = Interface("x.east", Address("10.254.0.1"), prefix)
@@ -174,13 +179,76 @@ def test_conduit_serializes_by_value():
     d = Datagram(src=Address("10.0.0.1"), dst=Address("10.1.0.1"),
                  protocol=17, payload=b"x" * 100, trace_id=9)
     port.transmit(iface, d, None)
-    assert len(outbox) == 1
-    arrival, dst_shard, dst_port, wire, tid = outbox[0]
-    assert dst_shard == 1 and dst_port == "as1.west" and tid == 9
+    [(arrival, dst_shard, dst_port, datagram)] = outbox
+    assert (dst_shard, dst_port) == (1, "as1.west") and datagram is d
     tx = (d.total_length + ConduitPort.FRAME_OVERHEAD) * 8.0 / 56_000.0
     assert arrival == pytest.approx(tx + 0.01)
-    parsed = Datagram.from_bytes(wire)
-    assert parsed.payload == d.payload and parsed.dst == d.dst
+
+
+class ScriptedPipe:
+    """The worker's end of a pipe, scripted: ``recv`` hands out
+    ``commands`` in order, ``send`` keeps what the worker replies."""
+
+    def __init__(self, *commands):
+        self.commands = list(commands)
+        self.sent = []
+
+    def recv(self):
+        return self.commands.pop(0)
+
+    def send(self, payload) -> None:
+        self.sent.append(payload)
+
+    def close(self) -> None:
+        pass
+
+
+class OneNodeShard:
+    """A shard of one node: ``A.east`` leaves through a conduit for shard
+    1's port ``as1.west`` and transmits ``outgoing`` at t=0; ``A.west`` is
+    this shard's ingress port ``as0.west``; UDP arrivals are kept."""
+
+    def __init__(self, outgoing):
+        self.outgoing = outgoing
+        self.received = []
+
+    def __call__(self, shard_id, n_shards):
+        sim = Simulator()
+        node = Node("A", sim)
+        east, west = Prefix.parse("10.254.0.0/30"), Prefix.parse("10.254.0.4/30")
+        out = node.add_interface(Interface("A.east", east.host(1), east))
+        ingress = node.add_interface(Interface("A.west", west.host(1), west))
+        outbox = []
+        ConduitPort(sim, out, dst_shard=1, dst_port="as1.west",
+                    outbox=outbox, delay=0.01)
+        node.register_protocol(PROTO_UDP, lambda n, d, i: self.received.append(d))
+        sim.post(0.0, lambda: out.output(self.outgoing))
+        return ShardBuild(net=SimpleNamespace(sim=sim),
+                          ports={"as0.west": ingress}, outbox=outbox)
+
+
+def test_worker_moves_wire_bytes_over_the_pipe():
+    """Across a process boundary a datagram travels as RFC-791 bytes: the
+    worker encodes its outbox before it replies and parses the batch it
+    is sent before delivery."""
+    outgoing = Datagram(src=Address("10.254.0.1"), dst=Address("10.1.0.1"),
+                        protocol=PROTO_UDP, payload=b"out", ident=7,
+                        trace_id=9)
+    incoming = Datagram(src=Address("10.1.0.1"), dst=Address("10.254.0.5"),
+                        protocol=PROTO_UDP, payload=b"in", ident=8,
+                        tos=TOS_ECT, trace_id=5)
+    shard = OneNodeShard(outgoing)
+    pipe = ScriptedPipe(
+        ("run", 0.5, [(0.02, 0, "as0.west", incoming.to_bytes(), 5)]),
+        ("stop",))
+    _worker_main(pipe, 0, 2, shard)
+    [[(arrival, dst_shard, dst_port, wire, trace_id)]] = pipe.sent
+    tx = (outgoing.total_length + ConduitPort.FRAME_OVERHEAD) * 8.0 / 56_000.0
+    assert (arrival, dst_shard, dst_port) == (tx + 0.01, 1, "as1.west")
+    assert type(wire) is bytes and trace_id == 9
+    assert Datagram.from_bytes(wire) == outgoing.copy(trace_id=0)
+    [received] = shard.received
+    assert received == incoming and received is not incoming
 
 
 # ----------------------------------------------------------------------
@@ -213,14 +281,16 @@ def test_saturated_seam_drops_the_same_at_any_partition():
     """A cross-shard link admits and tail-drops like the same link in one
     process.  Was: the conduit had no queue, so with the inter-AS links
     saturated 1 shard tail-dropped 6,736 datagrams (64,026 sent) and 4
-    shards dropped 0 (70,762 sent)."""
+    shards dropped 0 (70,762 sent).  The forked runs carry the saturated
+    seam through the wire codec."""
     cfg = ScaleConfig(n_as=4, gateways_per_as=4, hosts_per_lan=2, seed=13,
                       flow_rate=200.0, inter_bandwidth=256_000.0)
     ledgers = []
-    for n_shards in (1, 2, 4):
+    for n_shards, workers in ((1, 1), (2, 1), (4, 1), (2, 2), (4, 2)):
         builder = _LinkLedger(cfg)
         with ShardedSimulation(builder, n_shards,
-                               lookahead=builder.lookahead()) as ss:
+                               lookahead=builder.lookahead(),
+                               workers=workers) as ss:
             ss.run(until=20.0)
             summaries = ss.collect()
         sinks = {}
@@ -228,14 +298,12 @@ def test_saturated_seam_drops_the_same_at_any_partition():
             sinks.update(s["sinks"])
         ledgers.append((sum(s["queue_drops"] for s in summaries),
                         sum(s["packets_sent"] for s in summaries), sinks))
-    assert ledgers[0] == ledgers[1] == ledgers[2]
+    assert all(ledger == ledgers[0] for ledger in ledgers)
     assert ledgers[0][:2] == (6736, 64026)
 
 
 def observed_conduit(**kwargs):
     """A node whose only interface leaves through a conduit, watched."""
-    from repro.ip.node import Node
-    from repro.ip.packet import Datagram
     from repro.obs.core import Observability
 
     sim = Simulator()
