@@ -1,16 +1,15 @@
 """The Internet checksum (one's-complement 16-bit sum).
 
-Shared by the IP header, TCP and UDP.  The paper's goal 5 (cost
-effectiveness) notes the processing cost of headers; the checksum is the main
-per-byte cost of the datagram fast path, so this module provides two
-implementations:
+Shared by the IP header, TCP, UDP, ICMP and distance-vector adverts.  The
+paper's goal 5 (cost effectiveness) notes the processing cost of headers;
+the checksum is the main per-byte cost of the datagram fast path, so this
+module provides two implementations:
 
 * A **vectorized** one (:func:`internet_checksum` / :func:`verify_checksum`)
-  that folds the whole buffer as one big integer via :func:`int.from_bytes`.
-  Because ``2**16 == 1 (mod 0xFFFF)``, splitting a big integer at any
-  16-bit-aligned boundary and adding the halves preserves the one's-complement
-  sum, so O(log n) wide-integer operations (each linear in C) replace the
-  per-byte Python loop.
+  that reads the whole buffer as one big integer via :func:`int.from_bytes`
+  and reduces it with a single division.  Because ``2**16 == 1 (mod
+  0xFFFF)``, the integer is congruent to the sum of its 16-bit words, so one
+  ``% 0xFFFF`` (linear in C) replaces the per-word Python loop.
 * The original per-word **reference** loop
   (:func:`internet_checksum_reference` / :func:`verify_checksum_reference`),
   kept for differential testing and as the baseline in
@@ -18,7 +17,7 @@ implementations:
 
 Both return bit-identical results on every input (see
 ``tests/test_fastpath.py`` for the property test, including the odd-length
-padding and all-zero cases).
+padding, all-zero and word-sum-a-multiple-of-0xFFFF cases).
 """
 
 from __future__ import annotations
@@ -39,25 +38,18 @@ def ones_complement_sum(data: bytes) -> int:
     RFC 1071.  This is the shared kernel of :func:`internet_checksum` and
     :func:`verify_checksum`.
 
-    Implementation: interpret the buffer as one big-endian integer and fold
-    it in (16-bit-aligned) halves.  Since ``2**(16k) ≡ 1 (mod 0xFFFF)``,
-    each fold preserves the value mod 0xFFFF, and a value that starts
-    non-zero stays non-zero — exactly the 0-vs-0xFFFF distinction the
-    end-around-carry loop makes.
+    Implementation: interpret the buffer as one big-endian integer and
+    reduce it mod 0xFFFF.  Since ``2**(16k) ≡ 1 (mod 0xFFFF)``, that is the
+    word sum mod 0xFFFF, which the end-around-carry loop also preserves.
+    The residue alone cannot tell 0 from 0xFFFF; the loop's answer is 0
+    only when every word is 0, and otherwise lies in [1, 0xFFFF].
     """
     if len(data) & 1:
         data = data + b"\x00"
     total = int.from_bytes(data, "big")
-    nbits = len(data) * 8
-    # Halve the integer until it is narrow, keeping splits 16-bit aligned.
-    while nbits > 64:
-        half = ((nbits >> 1) + 15) & ~15  # round up to a multiple of 16
-        total = (total >> half) + (total & ((1 << half) - 1))
-        nbits = half + 16  # sum of a half-word and a (smaller) half fits
-    # End-around carry down to 16 bits.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    if not total:
+        return 0
+    return total % 0xFFFF or 0xFFFF
 
 
 def internet_checksum(data: bytes) -> int:

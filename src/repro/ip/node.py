@@ -359,7 +359,7 @@ class Node:
                 return False
         iface = route.interface
         medium = iface.medium
-        if medium is None or not medium.is_up():
+        if medium is None or not medium._up:
             self.stats.dropped_down += 1
             if obs is not None:
                 obs.drop(self.sim.now, self.name, "drop-link-down", datagram,
@@ -368,7 +368,7 @@ class Node:
         next_hop = route.next_hop
         mtu = medium.mtu
         if IP_HEADER_LEN + len(datagram.payload) <= mtu:
-            iface.output(datagram, next_hop)
+            medium.transmit(iface, datagram, next_hop)
             return True
         try:
             pieces = fragment(datagram, mtu)
@@ -390,7 +390,7 @@ class Node:
             obs.hop(self.sim.now, self.name, "forward", "fragmented",
                     datagram, ("%s pieces, mtu=%s", len(pieces), mtu))
         for piece in pieces:
-            iface.output(piece, next_hop)
+            medium.transmit(iface, piece, next_hop)
         return True
 
     def datagram_arrived(self, datagram: Datagram, iface: Optional[Interface]) -> None:

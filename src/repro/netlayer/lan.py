@@ -82,7 +82,7 @@ class LanBus(Medium):
                 if iface is not sender:
                     iface.deliver(datagram)
             return
-        receiver = self._interfaces.get(int(to))
+        receiver = self._interfaces.get(to._value)
         if receiver is None or receiver is sender:
             # Nobody holds that address — silently discarded, as on a real
             # LAN where ARP would have failed.

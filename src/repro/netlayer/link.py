@@ -5,8 +5,9 @@ and attaches to a medium; a :class:`PointToPointLink` is the simplest medium.
 Richer media (LAN bus, satellite broadcast, packet radio, X.25 subnet) build
 on the same contract:
 
-* the node hands the interface a datagram plus the next-hop address
-  (:meth:`Interface.output`);
+* the node hands the interface's medium a datagram plus the next-hop
+  address (:meth:`Medium.transmit`, or :meth:`Interface.output` from a
+  caller that holds only the interface);
 * the medium charges serialization time against the interface's transmit
   queue, applies propagation delay / jitter / loss, and delivers to the
   remote interface;
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..ip.address import Address, Prefix
 from ..ip.packet import Datagram, IP_HEADER_LEN, TOS_CE, TOS_ECT
 from ..sim.engine import Simulator
-from .loss import LossModel, NoLoss
+from .loss import LossModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ip.node import Node
@@ -182,8 +183,12 @@ class Medium:
       (a bus);
     * optionally :meth:`_in_flight`, what happens to a frame between the
       serializer and the far end (jitter, internal retransmission, or
-      leaving the shard as wire bytes);
+      leaving for another shard's outbox);
     * :meth:`_land`, where a frame that survived the trip goes.
+
+    ``loss`` is the wire's :class:`~repro.netlayer.loss.LossModel`; None
+    (the default) is a lossless wire, on which an arrival consults no
+    model at all.
     """
 
     #: Link-layer framing overhead charged per packet.
@@ -216,7 +221,7 @@ class Medium:
         self.delay = delay
         self.mtu = mtu
         self.queue_limit = queue_limit
-        self.loss = loss or NoLoss()
+        self.loss = loss
         # A deterministic default stream; experiments pass their own stream
         # from RandomStreams so runs are reproducible and paired.
         self.rng = rng if rng is not None else random.Random(0)
@@ -331,9 +336,12 @@ class Medium:
                    datagram: Datagram, next_hop: Optional[Address]) -> None:
         """Clock an admitted frame out behind the ones ahead of it and
         post its arrival wherever it lands."""
+        now = self.sim._now
         length = IP_HEADER_LEN + len(datagram.payload)
         tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, chan.busy_until)
+        start = chan.busy_until
+        if start < now:
+            start = now
         chan.busy_until = start + tx_time
         chan.queued += 1
         iface.stats.packets_sent += 1
@@ -349,7 +357,6 @@ class Medium:
             # Dwell breakdown: time waiting behind earlier frames, time on
             # the serializer, time in flight (propagation + whatever
             # _in_flight added).
-            now = self.sim.now
             obs.link_hop(now, node.name, datagram, start - now,
                          tx_time, arrival - start - tx_time, self.name)
         # A wire has one far end; elsewhere the frame is addressed to the
@@ -374,8 +381,11 @@ class Medium:
             if chan.shared:
                 sender.stats.packets_dropped_down += 1
             return
-        chan.queued = max(0, chan.queued - 1)
-        if self.loss.lose(self.rng, datagram.total_length):
+        if chan.queued:
+            chan.queued -= 1
+        loss = self.loss
+        if loss is not None and loss.lose(
+                self.rng, IP_HEADER_LEN + len(datagram.payload)):
             sender.stats.packets_lost += 1
             sender.record_drop(datagram, "drop-link-loss", self.name)
             return

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from ..sim.engine import Simulator
 from .link import Interface, PointToPointLink
-from .loss import NoLoss
 
 __all__ = ["X25Subnet"]
 
@@ -52,7 +51,6 @@ class X25Subnet(PointToPointLink):
             delay=delay,
             mtu=mtu,
             queue_limit=queue_limit,
-            loss=NoLoss(),
             rng=rng,
             name=name or f"x25:{a.name}<->{b.name}",
         )

@@ -51,7 +51,7 @@ class UdpChecksumError(UdpError):
 
 
 def _pseudo_header(src: Address, dst: Address, length: int) -> bytes:
-    return struct.pack("!IIBBH", int(src), int(dst), 0, PROTO_UDP, length)
+    return struct.pack("!IIBBH", src._value, dst._value, 0, PROTO_UDP, length)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,12 @@
 Three layers are covered, each against its retained reference
 implementation:
 
-* checksum — the vectorized big-integer fold must be bit-identical to the
-  per-word reference loop on every input (differential/property tests);
+* checksum — the one-division kernel (the buffer read as one big integer,
+  reduced mod 0xFFFF) must be bit-identical to the per-word reference loop
+  and to the halving fold it replaced on every input, including the inputs
+  random bytes almost never reach: all-zero buffers, word sums that are a
+  nonzero multiple of 0xFFFF, and odd lengths (differential/property
+  tests);
 * forwarding — the generation-stamped destination cache must never return
   a withdrawn or shadowed route, and must agree with the uncached scan;
 * engine — lazy-deletion compaction must shed cancelled husks without
@@ -31,8 +35,71 @@ from repro.sim.engine import Simulator
 # ----------------------------------------------------------------------
 # Checksum: vectorized vs reference
 # ----------------------------------------------------------------------
+def ones_complement_sum_halving(data: bytes) -> int:
+    """The kernel before it became one division, verbatim: fold the big
+    integer in 16-bit-aligned halves, then end-around carry."""
+    if len(data) & 1:
+        data = data + b"\x00"
+    total = int.from_bytes(data, "big")
+    nbits = len(data) * 8
+    # Halve the integer until it is narrow, keeping splits 16-bit aligned.
+    while nbits > 64:
+        half = ((nbits >> 1) + 15) & ~15  # round up to a multiple of 16
+        total = (total >> half) + (total & ((1 << half) - 1))
+        nbits = half + 16  # sum of a half-word and a (smaller) half fits
+    # End-around carry down to 16 bits.
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def ones_complement_sum_reference(data: bytes) -> int:
+    """The per-word loop's sum, before its final complement."""
+    return ~internet_checksum_reference(data) & 0xFFFF
+
+
+def word_sum(data: bytes) -> int:
+    """Plain (unfolded) sum of the zero-padded buffer's 16-bit words."""
+    if len(data) & 1:
+        data = data + b"\x00"
+    return sum(int.from_bytes(data[i:i + 2], "big")
+               for i in range(0, len(data), 2))
+
+
+@st.composite
+def sums_to_a_multiple_of_ffff(draw):
+    """Random bytes with the complement word of their sum inserted at an
+    even offset: the word sum is a nonzero multiple of 0xFFFF, where the
+    residue is 0 but the one's-complement sum is 0xFFFF.  Odd lengths keep
+    their trailing byte last, so its pad counts as it will in the kernel."""
+    other = draw(st.binary(max_size=300))
+    at = 2 * draw(st.integers(0, len(other) // 2))
+    word = 0xFFFF - word_sum(other) % 0xFFFF
+    return other[:at] + word.to_bytes(2, "big") + other[at:]
+
+
+#: The kernel's branches, reached on purpose: random bytes reach the zero
+#: and multiple-of-0xFFFF cases with p ≈ 1/65535.
+KERNEL_EDGES = st.one_of(
+    sums_to_a_multiple_of_ffff(),
+    st.integers(0, 64).map(bytes),
+    st.integers(0, 150).flatmap(
+        lambda n: st.binary(min_size=2 * n + 1, max_size=2 * n + 1)))
+
+
 @given(st.binary(min_size=0, max_size=4096))
 def test_checksum_differential_random(data):
+    assert internet_checksum(data) == internet_checksum_reference(data)
+    assert verify_checksum(data) == verify_checksum_reference(data)
+    assert ones_complement_sum(data) == ones_complement_sum_halving(data)
+
+
+@settings(max_examples=300)
+@given(KERNEL_EDGES)
+def test_checksum_kernel_edges_against_both_oracles(data):
+    expected = ones_complement_sum_reference(data)
+    assert ones_complement_sum(data) == expected
+    assert ones_complement_sum_halving(data) == expected
     assert internet_checksum(data) == internet_checksum_reference(data)
     assert verify_checksum(data) == verify_checksum_reference(data)
 
@@ -43,6 +110,7 @@ def test_checksum_differential_exhaustive_small_lengths():
         data = bytes(rng.randrange(256) for _ in range(length))
         assert internet_checksum(data) == internet_checksum_reference(data), length
         assert verify_checksum(data) == verify_checksum_reference(data), length
+        assert ones_complement_sum(data) == ones_complement_sum_halving(data)
 
 
 def test_checksum_differential_boundary_sizes():
@@ -60,7 +128,7 @@ def test_checksum_odd_length_pads_with_zero():
 
 
 def test_checksum_all_zero_input():
-    for length in (0, 1, 2, 20, 1500):
+    for length in [*range(0, 65), 1500]:
         data = b"\x00" * length
         assert internet_checksum(data) == 0xFFFF
         assert internet_checksum(data) == internet_checksum_reference(data)

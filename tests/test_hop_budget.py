@@ -87,9 +87,11 @@ def test_one_route_resolution_per_datagram_per_node():
 def test_python_calls_per_hop_under_ceiling():
     """cProfile count of Python-level calls into ``repro.ip`` and
     ``repro.netlayer`` per hop (a forward or a delivery; origination and
-    delivery work is in the count).  Measured: 11,230 calls / 600 hops =
-    18.72, the same before and after the four link traversals became one
-    (21,844 = 36.41 before the diet); the ceiling sits 10 % above.  The
+    delivery work is in the count).  Measured: 8,030 calls / 600 hops =
+    13.38, since ``_output`` hands the medium the datagram itself and a
+    lossless arrival consults no loss model (11,230 = 18.72 before that,
+    the same before and after the four link traversals became one;
+    21,844 = 36.41 before the diet); the ceiling sits 10 % above.  The
     count repeats exactly, so this cannot flake — it fails only when
     someone adds per-packet calls."""
     sim, h1, g1, g2, h2, _ = line()
@@ -105,7 +107,7 @@ def test_python_calls_per_hop_under_ceiling():
         ncalls for (filename, _, _), (_, ncalls, *_)
         in pstats.Stats(profile).stats.items()
         if "/repro/ip/" in filename or "/repro/netlayer/" in filename)
-    assert calls / hops <= 20.59, f"{calls} calls / {hops} hops"
+    assert calls / hops <= 14.72, f"{calls} calls / {hops} hops"
 
 
 # ----------------------------------------------------------------------
@@ -141,9 +143,10 @@ def link_layer_calls(run) -> int:
         if "/repro/netlayer/" in filename or "/repro/sim/shard" in filename)
 
 
-def test_p2p_traversal_is_seven_calls():
+def test_p2p_traversal_is_six_calls():
     """``output``, ``transmit``, ``_serialize``, then ``_arrive``,
-    ``lose``, ``_land``, ``deliver``: 7, as at the parent of the
+    ``_land``, ``deliver``: 6.  It was 7 while a lossless wire still
+    asked ``NoLoss.lose`` for its answer; 7 too at the parent of the
     one-traversal refactor (where ``other_end`` stood in ``_land``'s
     place) and of the DRR fold (where ``_obs_of`` stood in
     ``_serialize``'s)."""
@@ -151,12 +154,13 @@ def test_p2p_traversal_is_seven_calls():
         sim, ia, ib, bandwidth_bps=10_000_000, delay=0.001, mtu=1500))
     calls = link_layer_calls(lambda: sim.run(until=1.0))
     assert ib.stats.packets_delivered == DATAGRAMS
-    assert calls == 7 * DATAGRAMS
+    assert calls == 6 * DATAGRAMS
 
 
-def test_lan_traversal_is_seven_calls():
-    """As p2p; ``_land`` looks the receiver up itself, where the parent's
-    ``_arrive`` called ``resolve``: 7 then, 7 now."""
+def test_lan_traversal_is_six_calls():
+    """As p2p; ``_land`` looks the receiver up itself (by the address's
+    integer, no ``__int__`` call), where the pre-merge ``_arrive`` called
+    ``resolve``: 7 then, 7 with ``lose``, 6 now."""
     def attach(sim, prefix, ia, ib):
         bus = LanBus(sim, prefix)
         bus.attach(ia)
@@ -164,7 +168,7 @@ def test_lan_traversal_is_seven_calls():
     sim, ia, ib = pair_on(attach)
     calls = link_layer_calls(lambda: sim.run(until=1.0))
     assert ib.stats.packets_delivered == DATAGRAMS
-    assert calls == 7 * DATAGRAMS
+    assert calls == 6 * DATAGRAMS
 
 
 def drr_bursts(bursts):
@@ -191,12 +195,13 @@ def drr_bursts(bursts):
     return sim, ib
 
 
-def test_drr_traversal_is_twelve_calls_per_frame(monkeypatch):
+def test_drr_traversal_is_eleven_calls_per_frame(monkeypatch):
     """``output``, ``transmit``, ``enqueue``, ``_classify``,
     ``flow_key_of``, ``_release``, ``dequeue``, ``_serialize``, then
-    ``_arrive``, ``lose``, ``_land``, ``deliver``: 12 per frame, plus once
-    per burst the release that finds nothing held (``_release``,
-    ``dequeue``).  The scheduler in front of the link took 14 per frame
+    ``_arrive``, ``_land``, ``deliver``: 11 per frame, plus once per burst
+    the release that finds nothing held (``_release``, ``dequeue``).  It
+    was 12 while a lossless wire asked ``NoLoss.lose``.  The scheduler in
+    front of the link took 14 per frame
     (its serve lambda, ``_serve_next``, ``_select``, ``transmit_now``,
     ``_obs_of``) + 2 per burst, and built a cancellable ``EventHandle``
     per frame; the discipline builds nothing per frame, and one flow
@@ -221,7 +226,7 @@ def test_drr_traversal_is_twelve_calls_per_frame(monkeypatch):
         calls[bursts] = sum(
             ncalls for (filename, _, _), (_, ncalls, *_) in stats
             if "/repro/netlayer/" in filename or "/repro/flows/" in filename)
-        assert calls[bursts] == 12 * 3 * bursts + 2 * bursts
+        assert calls[bursts] == 11 * 3 * bursts + 2 * bursts
         assert sum(ncalls for (filename, _, name), (_, ncalls, *_) in stats
                    if filename.endswith("/repro/sim/engine.py")
                    and name == "__init__") == 0          # no EventHandle
@@ -236,14 +241,15 @@ CODEC = {("/repro/ip/packet.py", "to_bytes"),
          ("/repro/ip/checksum.py", "verify_checksum")}
 
 
-def test_conduit_crossing_is_eight_calls():
+def test_conduit_crossing_is_seven_calls():
     """Egress ``output``, ``transmit``, ``_serialize``, ``_in_flight`` (the
-    outbox record), then the slot release ``_arrive``, ``lose``, ``_land``;
-    ingress ``deliver``, which the far shard posts bound to the datagram
-    itself: 8.  The parent's 10 spent two more on the ingress parse
-    (``_Ingress()`` and its call) and ran the codec twice per crossing —
-    a pack with its header checksum, then an unpack with its verify.  One
-    window each side adds ``deliver`` + ``run_window`` twice."""
+    outbox record), then the slot release ``_arrive``, ``_land``; ingress
+    ``deliver``, which the far shard posts bound to the datagram itself:
+    7.  It was 8 while the lossless conduit asked ``NoLoss.lose``, and 10
+    before that, two more on the ingress parse (``_Ingress()`` and its
+    call) and the codec run twice per crossing — a pack with its header
+    checksum, then an unpack with its verify.  One window each side adds
+    ``deliver`` + ``run_window`` twice."""
     class Net:
         pass
     calls = {}
@@ -270,7 +276,7 @@ def test_conduit_crossing_is_eight_calls():
         calls[sends] = sum(
             ncalls for (filename, _, _), (_, ncalls, *_) in stats
             if "/repro/netlayer/" in filename or "/repro/sim/shard" in filename)
-        assert calls[sends] == 8 * sends + 4
+        assert calls[sends] == 7 * sends + 4
         assert sum(ncalls for (filename, _, name), (_, ncalls, *_) in stats
                    if any(filename.endswith(module) and name == function
                           for module, function in CODEC)) == 0

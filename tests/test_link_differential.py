@@ -25,14 +25,26 @@ made, each marked ``LISTED EXCEPTION`` below:
    verbatim ``ConduitPort`` oracle (unbounded, always up) it is compared
    to the oracle ``PointToPointLink`` — the same link in one process;
 4. a conduit crossing gets its ``link_hop`` span (not visible here).
+
+The oracles keep the parent's ``loss or NoLoss()`` and its ``max(0, ...)``
+queue clamp; the live ``Medium`` leaves ``loss`` None on a lossless wire
+and consults no model there, so the loss strategy hands both sides None
+and ``NoLoss()`` alike and both spellings must agree with the oracle.
+
+The drain tests at the end are a conservation audit of one traversal per
+medium: with the medium kept up, once the simulator is quiescent every
+transmitter's queue is empty, and every unicast frame a sender clocked out
+was either delivered or counted lost.
 """
 
 import random
 from dataclasses import asdict
 from functools import partial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.flows.scheduler import DrrScheduler
 from repro.ip.address import Address, Prefix
 from repro.ip.packet import (Datagram, IP_HEADER_LEN, PROTO_UDP, TOS_CE,
                              TOS_ECT)
@@ -461,24 +473,27 @@ class World:
                 [(red.counters(), red.avg) for red in self.reds])
 
 
+def apply(world, step, ident: int) -> None:
+    """One step of a program on one world."""
+    op = step[0]
+    if op == "send":
+        _, sender, size, ect, target = step
+        datagram = Datagram(
+            src=world.ifaces[sender].address, dst=PREFIX.host(2),
+            protocol=PROTO_UDP, payload=b"\xa5" * size, ident=ident,
+            tos=TOS_ECT if ect else 0)
+        world.ifaces[sender].output(datagram, target)
+    elif op == "advance":
+        world.sim.run(until=world.sim.now + step[1])
+    else:
+        world.medium.set_up(op == "up")
+
+
 def run_program(worlds, program) -> None:
     """Apply each step to every world; they must agree after every one."""
-    ident = 0
-    for step in program:
-        op = step[0]
+    for ident, step in enumerate(program):
         for world in worlds:
-            if op == "send":
-                _, sender, size, ect, target = step
-                datagram = Datagram(
-                    src=world.ifaces[sender].address, dst=PREFIX.host(2),
-                    protocol=PROTO_UDP, payload=b"\xa5" * size, ident=ident,
-                    tos=TOS_ECT if ect else 0)
-                world.ifaces[sender].output(datagram, target)
-            elif op == "advance":
-                world.sim.run(until=world.sim.now + step[1])
-            else:
-                world.medium.set_up(op == "up")
-        ident += 1
+            apply(world, step, ident)
         first = worlds[0].snapshot()
         for world in worlds[1:]:
             assert world.snapshot() == first, step
@@ -496,25 +511,28 @@ SIZES = st.one_of(st.sampled_from([0, 1, 256, 1480]), st.integers(0, 1480))
 ADVANCES = st.sampled_from([0.0, 1e-6, 5e-5, 0.001, 0.0103, 0.05, 0.3, 2.0])
 
 
-def programs(n_senders: int, targets):
+def programs(n_senders: int, targets, *, flaps: bool = True):
     send = st.tuples(st.just("send"), st.integers(0, n_senders - 1), SIZES,
                      st.booleans(), targets)
-    step = st.one_of(
-        send, send, send,  # bursts: three sends for every other step
-        st.tuples(st.just("advance"), ADVANCES),
-        st.tuples(st.just("down")),
-        st.tuples(st.just("up")))
-    return st.lists(step, min_size=1, max_size=60)
+    steps = [send, send, send,  # bursts: three sends for every other step
+             st.tuples(st.just("advance"), ADVANCES)]
+    if flaps:
+        steps += [st.tuples(st.just("down")), st.tuples(st.just("up"))]
+    return st.lists(st.one_of(*steps), min_size=1, max_size=60)
 
 
+#: None and ("none",) are the two spellings of a lossless wire: the
+#: default, and an explicit ``NoLoss()``.
 LOSSES = st.sampled_from([
-    None, ("bernoulli", 0.0), ("bernoulli", 0.3), ("bernoulli", 1.0),
-    ("gilbert", 0.2, 0.3, 0.05, 0.6)])
+    None, ("none",), ("bernoulli", 0.0), ("bernoulli", 0.3),
+    ("bernoulli", 1.0), ("gilbert", 0.2, 0.3, 0.05, 0.6)])
 
 
 def make_loss(spec):
     if spec is None:
         return None
+    if spec[0] == "none":
+        return NoLoss()
     if spec[0] == "bernoulli":
         return BernoulliLoss(spec[1])
     return GilbertElliottLoss(p_good_to_bad=spec[1], p_bad_to_good=spec[2],
@@ -678,3 +696,77 @@ def test_conduit_admits_like_the_same_link_in_one_process(
     assert len(left) == conduit.ifaces[0].stats.packets_sent
     landed = [(when, ident) for when, _, ident, _ in link.node.arrivals]
     assert sorted(set(landed) & set(left)) == sorted(landed)
+
+
+# ----------------------------------------------------------------------
+# Drain: with the medium kept up, every queue empties and every unicast
+# frame clocked out is delivered or counted lost
+# ----------------------------------------------------------------------
+def two_ended(cls, **kwargs):
+    def build(world, seed, loss):
+        # X.25 is reliable: it takes no loss model.
+        lossy = {} if cls is X25Subnet else {"loss": make_loss(loss)}
+        world.medium = cls(world.sim, *world.ifaces, queue_limit=4,
+                           rng=world.stream(seed), **kwargs, **lossy)
+    return build
+
+
+def lan(world, seed, loss):
+    world.medium = LanBus(world.sim, PREFIX, queue_limit=4,
+                          loss=make_loss(loss), rng=world.stream(seed))
+    for iface in world.ifaces:
+        world.medium.attach(iface)
+
+
+def p2p_drr(world, seed, loss):
+    two_ended(PointToPointLink)(world, seed, loss)
+    DrrScheduler(world.ifaces[0], per_flow_limit=4)
+
+
+def conduit(world, seed, loss):
+    world.outbox = []
+    world.medium = LandingConduit(world.sim, world.ifaces[0], dst_shard=1,
+                                  dst_port="p", outbox=world.outbox)
+    world.medium.far = world.ifaces[1]
+
+
+#: name -> (builder, interfaces, senders, targets)
+MEDIA = {
+    "p2p": (two_ended(PointToPointLink), 2, 2, st.none()),
+    "lan": (lan, 3, 3, st.sampled_from([
+        None, PREFIX.host(1), PREFIX.host(2), PREFIX.host(3),
+        PREFIX.host(77)])),
+    "x25": (two_ended(X25Subnet, internal_retx_prob=0.5), 2, 2, st.none()),
+    "radio": (two_ended(PacketRadioLink), 2, 2, st.none()),
+    "satellite": (two_ended(SatelliteLink), 2, 2, st.none()),
+    "conduit": (conduit, 2, 1, st.none()),
+    "p2p_drr": (p2p_drr, 2, 2, st.none()),
+}
+
+
+@pytest.mark.parametrize("medium", sorted(MEDIA))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 9), loss=LOSSES)
+def test_drain_conserves_every_frame(medium, data, seed, loss):
+    build, n_ifaces, n_senders, targets = MEDIA[medium]
+    program = data.draw(programs(n_senders, targets, flaps=False))
+    world = World(n_ifaces)
+    build(world, seed, loss)
+    for ident, step in enumerate(program):
+        apply(world, step, ident)
+    world.sim.run()
+    assert world.sim.pending == 0
+    assert all(chan.queued == 0
+               for chan in world.medium._channels.values())
+    drr = world.medium._channels[world.ifaces[0]].drr
+    assert drr is None or not any(
+        flow.queue for flow in drr._flows.values())
+    stats = [iface.stats for iface in world.ifaces]
+    assert sum(s.packets_dropped_down for s in stats) == 0
+    if medium == "lan":  # any member may deliver any member's frame
+        assert sum(s.packets_sent for s in stats) == sum(
+            s.packets_delivered + s.packets_lost for s in stats)
+    else:
+        a, b = stats
+        assert a.packets_sent == b.packets_delivered + a.packets_lost
+        assert b.packets_sent == a.packets_delivered + b.packets_lost
