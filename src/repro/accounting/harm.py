@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..ip.address import Address, Prefix
 from ..ip.node import Node
-from ..ip.packet import PROTO_TCP, PROTO_UDP, Datagram
+from ..ip.packet import IP_HEADER_LEN, PROTO_TCP, PROTO_UDP, Datagram
 from ..tcp.segment import seq_add, seq_sub
 
 __all__ = ["HarmAccountant", "HarmEntry", "displaced_goodput"]
@@ -78,6 +78,14 @@ class HarmAccountant:
         self.local_prefix = local_prefix
         self.granularity = granularity
         self.entries: dict[str, HarmEntry] = {}
+        # Per packet the inspector works on integers: the transit test is
+        # one mask and compare, and an entity's entry is found by its
+        # masked source value; the Prefix and its string key are built
+        # once, when the entity first appears.
+        self._local_mask = local_prefix._mask_int()
+        self._local_network = local_prefix.network._value
+        self._entity_mask = Prefix(Address(0), granularity)._mask_int()
+        self._by_entity: dict[int, HarmEntry] = {}
         #: (src, dst, src_port, dst_port) -> highest end-seq carried.
         self._flow_high: dict[tuple, int] = {}
         node.forward_inspectors.append(self._inspect)
@@ -99,13 +107,17 @@ class HarmAccountant:
         return entry
 
     def _inspect(self, datagram: Datagram) -> None:
-        if self.local_prefix.contains(datagram.dst):
+        if datagram.dst._value & self._local_mask == self._local_network:
             return  # local delivery, not transit
-        entry = self._entry_for(datagram.src)
+        entity = datagram.src._value & self._entity_mask
+        entry = self._by_entity.get(entity)
+        if entry is None:
+            entry = self._by_entity[entity] = self._entry_for(datagram.src)
+        length = IP_HEADER_LEN + len(datagram.payload)
         entry.forwarded_packets += 1
-        entry.forwarded_bytes += datagram.total_length
+        entry.forwarded_bytes += length
         if datagram.protocol == PROTO_UDP:
-            entry.open_loop_bytes += datagram.total_length
+            entry.open_loop_bytes += length
         elif datagram.protocol == PROTO_TCP and datagram.fragment_offset == 0:
             self._inspect_tcp(datagram, entry)
 
@@ -118,7 +130,7 @@ class HarmAccountant:
         data_len = len(payload) - offset
         if data_len <= 0:
             return  # pure ACK / control — nothing to duplicate
-        key = (int(datagram.src), int(datagram.dst), src_port, dst_port)
+        key = (datagram.src._value, datagram.dst._value, src_port, dst_port)
         end = seq_add(seq, data_len)
         high = self._flow_high.get(key)
         if high is None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..ip.address import Address, Prefix
 from ..ip.node import Node
-from ..ip.packet import Datagram
+from ..ip.packet import IP_HEADER_LEN, Datagram
 from ..sim.process import PeriodicProcess
 
 __all__ = ["Ledger", "PacketAccountant", "FlowAccountant",
@@ -122,9 +122,9 @@ class FlowAccountant:
 
     def _account(self, datagram: Datagram) -> None:
         self.lookups += 1
-        key = (int(datagram.src), int(datagram.dst), datagram.protocol)
+        key = (datagram.src._value, datagram.dst._value, datagram.protocol)
         record = self.active.get(key)
-        now = self.node.sim.now
+        now = self.node.sim._now
         if record is None:
             record = FlowRecord(datagram.src, datagram.dst, datagram.protocol,
                                 now, now, 0, 0)
@@ -132,7 +132,7 @@ class FlowAccountant:
             self.peak_active = max(self.peak_active, len(self.active))
         record.last_seen = now
         record.packets += 1
-        record.bytes += datagram.total_length
+        record.bytes += IP_HEADER_LEN + len(datagram.payload)
 
     def _sweep(self) -> None:
         now = self.node.sim.now

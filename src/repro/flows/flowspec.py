@@ -93,4 +93,4 @@ def _dst_port_of(datagram: Datagram) -> Optional[int]:
 def flow_key_of(datagram: Datagram) -> tuple:
     """The implicit flow key of any datagram (used for per-flow fairness of
     unreserved traffic): (src, dst, protocol)."""
-    return (int(datagram.src), int(datagram.dst), datagram.protocol)
+    return (datagram.src._value, datagram.dst._value, datagram.protocol)

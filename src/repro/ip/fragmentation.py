@@ -109,7 +109,7 @@ class Reassembler:
         self._buffers: dict[tuple, _Buffer] = {}
 
     def _key(self, d: Datagram) -> tuple:
-        return (int(d.src), int(d.dst), d.protocol, d.ident)
+        return (d.src._value, d.dst._value, d.protocol, d.ident)
 
     def accept(self, datagram: Datagram) -> Optional[Datagram]:
         """Feed one arriving datagram; returns the completed datagram when

@@ -265,21 +265,17 @@ class Node:
         if not self.up:
             self.stats.dropped_down += 1
             return False
-        dst_addr = dst if isinstance(dst, Address) else Address(dst)
+        dst_addr = dst if type(dst) is Address else Address(dst)
         if src is None:
             route, src = self.route_and_source(dst_addr)
-        datagram = Datagram(
-            src=src,
-            dst=dst_addr,
-            protocol=protocol,
-            payload=payload,
-            ttl=ttl,
-            tos=tos,
-            ident=self.next_ident(),
-            dont_fragment=dont_fragment,
-        )
-        self.stats.originated += 1
-        self.stats.bytes_originated += datagram.total_length
+        # Positional: src, dst, protocol, payload, ttl, ident,
+        # dont_fragment, more_fragments, fragment_offset, tos.
+        datagram = Datagram(src, dst_addr, protocol, payload, ttl,
+                            next(self._ident) & 0xFFFF, dont_fragment,
+                            False, 0, tos)
+        stats = self.stats
+        stats.originated += 1
+        stats.bytes_originated += IP_HEADER_LEN + len(payload)
         obs = self.obs
         if obs is not None and obs.enabled:
             # Span details are (format, *values): rendered when read.
@@ -482,12 +478,15 @@ class Node:
     # Local delivery
     # ------------------------------------------------------------------
     def _deliver_local(self, datagram: Datagram, iface: Optional[Interface]) -> None:
-        completed = self.reassembler.accept(datagram)
-        if completed is None:
-            # A fragment, buffered by the reassembler.
-            return
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += completed.total_length
+        completed = datagram
+        if datagram.more_fragments or datagram.fragment_offset > 0:
+            completed = self.reassembler.accept(datagram)
+            if completed is None:
+                # A fragment, buffered by the reassembler.
+                return
+        stats = self.stats
+        stats.delivered += 1
+        stats.bytes_delivered += IP_HEADER_LEN + len(completed.payload)
         obs = self.obs
         if obs is not None and obs.enabled:
             detail = (("reassembled from fragments (%s B)",

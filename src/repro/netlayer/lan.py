@@ -48,8 +48,8 @@ class LanBus(Medium):
                          name=name)
         self.prefix = prefix
         # Computed once: Prefix.broadcast allocates per call and _land
-        # consults it for every frame on the segment.
-        self._broadcast = prefix.broadcast
+        # compares every frame's next hop with it, as integers.
+        self._broadcast_value = prefix.broadcast._value
         self._label = f"lan:{name}"
         self._interfaces: dict[int, Interface] = {}
         self._bus = _Channel(shared=True)
@@ -77,12 +77,13 @@ class LanBus(Medium):
 
     def _land(self, sender: Interface, to: Address,
               datagram: Datagram) -> None:
-        if to.is_broadcast or to == self._broadcast:
+        value = to._value
+        if value == 0xFFFFFFFF or value == self._broadcast_value:
             for iface in list(self._interfaces.values()):
                 if iface is not sender:
                     iface.deliver(datagram)
             return
-        receiver = self._interfaces.get(to._value)
+        receiver = self._interfaces.get(value)
         if receiver is None or receiver is sender:
             # Nobody holds that address — silently discarded, as on a real
             # LAN where ARP would have failed.

@@ -221,7 +221,7 @@ class DistanceVectorRouting:
                 continue
             self.stats.updates_sent += 1
             self.stats.bytes_sent += len(payload)
-            self._socket.sendto(payload, iface.prefix.broadcast, DV_PORT,
+            self._socket.sendto(payload, iface.broadcast_address, DV_PORT,
                                 ttl=1, trace_label="dv-update")
 
     def _vector_for(self, iface: Interface) -> bytes:

@@ -31,7 +31,9 @@ class Timer:
 
     @property
     def running(self) -> bool:
-        return self._handle is not None and self._handle.active
+        # The handle is dropped when the timer fires or stops, and nothing
+        # else holds it, so a held handle is a pending one.
+        return self._handle is not None
 
     @property
     def expires_at(self) -> Optional[float]:
@@ -40,7 +42,8 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)start the timer to fire ``delay`` seconds from now."""
-        self.stop()
+        if self._handle is not None:
+            self._handle.cancel()
         self._handle = self._sim.schedule(delay, self._fire, label=self._label)
 
     def stop(self) -> None:

@@ -54,11 +54,14 @@ class SendBuffer:
 
     def write(self, data: bytes, *, push: bool = True) -> int:
         """Append application data; returns bytes accepted (may be short)."""
-        accepted = data[: self.free_space]
+        buffered = len(self._data)
+        free = self.capacity - buffered
+        accepted = data[: free if free > 0 else 0]
+        taken = len(accepted)
         self._data.extend(accepted)
-        if push and accepted:
-            self._push_points.append(self._acked + len(self._data))
-        return len(accepted)
+        if push and taken:
+            self._push_points.append(self._acked + buffered + taken)
+        return taken
 
     def read(self, seq: int, length: int) -> bytes:
         """Slice ``length`` bytes starting at sequence number ``seq``."""
@@ -127,37 +130,50 @@ class ReceiveBuffer:
     @property
     def window(self) -> int:
         """Advertised receive window: capacity minus everything held."""
-        free = self.capacity - len(self._delivered_not_read) - self._ooo_bytes
+        free = self.capacity - self._ooo_bytes
+        if self._delivered_not_read:
+            free -= len(self._delivered_not_read)
         return free if free > 0 else 0
 
     def accept(self, seq: int, data: bytes) -> bytes:
         """Feed one segment's payload; returns newly in-order bytes (possibly
-        empty), which the connection hands to the application."""
+        empty), and holds them until the application reads them."""
+        data = self.take(seq, data)
+        if data:
+            self._delivered_not_read.extend(data)
+        return data
+
+    def take(self, seq: int, data: bytes) -> bytes:
+        """:meth:`accept` for an application that consumes on arrival (the
+        connection's push model): the newly in-order bytes are returned and
+        not held, so there is nothing to read back out."""
         if not data:
             return b""
-        self.bytes_received += len(data)
+        length = len(data)
+        self.bytes_received += length
         ahead = seq_sub(seq, self.rcv_next)
         if ahead < 0:
-            if -ahead >= len(data):
-                self.duplicate_bytes += len(data)
+            if -ahead >= length:
+                self.duplicate_bytes += length
                 return b""  # entirely old
             self.duplicate_bytes += -ahead
             data = data[-ahead:]
+            length += ahead
             ahead = 0
         # Respect the window: drop bytes beyond capacity.
         keep = self.window - ahead
-        if len(data) > keep:
+        if length > keep:
             if keep <= 0:
                 return b""
             data = data[:keep]
+            length = keep
         if ahead > 0:
             self._stash_ooo(ahead, data)
             return b""
-        # In-order: append, then drain any now-contiguous stashed pieces.
-        self.rcv_next = seq_add(self.rcv_next, len(data))
+        # In-order: advance, then drain any now-contiguous stashed pieces.
+        self.rcv_next = seq_add(self.rcv_next, length)
         if self._ooo_seqs:
             data = data + self._drain_ooo()
-        self._delivered_not_read.extend(data)
         return bytes(data)
 
     def _stash_ooo(self, ahead: int, data: bytes) -> None:

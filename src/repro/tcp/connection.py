@@ -450,24 +450,30 @@ class TcpConnection:
         buf = self.send_buffer
         mss = self.snd_mss
         flight = seq_sub(self.snd_nxt, self.snd_una)
-        pending = buf.available_from(self.snd_nxt)
+        # min(peer window, cwnd) minus what is already in flight.  Read
+        # first: a full window leaves the backlog unread.
+        window = self.snd_wnd
+        if config.congestion_control and self.cwnd < window:
+            window = self.cwnd
+        window -= flight
+        if window > 0:
+            pending = buf.available_from(self.snd_nxt)
+        else:
+            pending = 0
+            if (flight == 0 and buf.available_from(self.snd_nxt) > 0
+                    and not self.probe_timer.running):
+                # Zero window with nothing in flight: arm the probe.
+                self.probe_timer.start(config.window_probe_interval)
         sent_any = False
         while pending > 0:
-            # min(peer window, cwnd) minus what is already in flight.
-            window = self.snd_wnd
-            if config.congestion_control and self.cwnd < window:
-                window = self.cwnd
-            window -= flight
-            if window <= 0:
-                if flight == 0 and not self.probe_timer.running:
-                    # Zero window with nothing in flight: arm the probe.
-                    self.probe_timer.start(config.window_probe_interval)
-                break
             snd_nxt = self.snd_nxt
-            length = min(pending, mss, window)
+            length = pending if pending < mss else mss
+            if window < length:
+                length = window
             # Bytes below the high-water mark have been on the wire before:
             # this send is a retransmission (go-back-N recovery).
-            is_retx = seq_sub(snd_nxt, self.snd_max) < 0
+            is_retx = (snd_nxt != self.snd_max
+                       and seq_sub(snd_nxt, self.snd_max) < 0)
             if is_retx and not config.repacketize:
                 # No-repacketization policy: a resend must reuse the
                 # original segment boundary, not a fresh MSS-sized slice.
@@ -483,12 +489,11 @@ class TcpConnection:
             if self.snd_up is not None and seq_lt(snd_nxt, self.snd_up):
                 flags |= FLAG_URG
                 urgent_ptr = min(seq_sub(self.snd_up, snd_nxt), 0xFFFF)
-            seg = TcpSegment(
-                src_port=self.local_port, dst_port=self.remote_port,
-                seq=snd_nxt, ack=self.rcv.rcv_next, flags=flags,
-                window=self._advertised_window(), payload=payload,
-                urgent=urgent_ptr,
-            )
+            # Positional (ports, seq, ack, flags, window, payload, urgent):
+            # keywords cost a segment twice the construction.
+            seg = TcpSegment(self.local_port, self.remote_port, snd_nxt,
+                             self.rcv.rcv_next, flags,
+                             self._advertised_window(), payload, urgent_ptr)
             if is_retx:
                 self.stats.segments_retransmitted += 1
                 self.stats.bytes_retransmitted += length
@@ -503,6 +508,9 @@ class TcpConnection:
             flight += length
             pending -= length
             sent_any = True
+            window -= length
+            if window <= 0:
+                break   # full; with data in flight, no probe is owed
         if self._fin_queued:
             self._maybe_send_fin()
         if sent_any or flight > 0 or self._fin_in_flight():
@@ -562,8 +570,12 @@ class TcpConnection:
                 seg.flags |= FLAG_CWR
                 self._cwr_pending = False
         self.stats.segments_sent += 1
-        self._ack_pending = False
-        self.delack_timer.stop()
+        if self._ack_pending:
+            # The delayed-ACK timer runs only while an ACK is pending
+            # (_schedule_ack arms it right after raising the flag), so
+            # with the flag down there is nothing to stop.
+            self._ack_pending = False
+            self.delack_timer.stop()
         self.stack.transmit(self, seg)
 
     # ------------------------------------------------------------------
@@ -746,7 +758,7 @@ class TcpConnection:
 
     def _keepalive_heard(self) -> None:
         """Any arriving segment proves the peer alive."""
-        self._last_heard = self.sim.now
+        self._last_heard = self.sim._now
         if self._keepalive_probes_out:
             self.stats.keepalives_answered += 1
             self._keepalive_probes_out = 0
@@ -785,8 +797,12 @@ class TcpConnection:
         # segment against RCV.NXT once (the per-segment budget, DESIGN §7).
         flags = seg.flags
         payload = seg.payload
-        ahead = seq_sub(seg.seq, rcv.rcv_next)
-        wnd = rcv.window or 1     # a closed window still admits one byte
+        ahead = (0 if seg.seq == rcv.rcv_next
+                 else seq_sub(seg.seq, rcv.rcv_next))
+        # The window (a closed one still admits one byte) matters only to
+        # a segment that starts past RCV.NXT: every other offset is below
+        # it.
+        wnd = (rcv.window or 1) if ahead > 0 else 1
         # 1. RST validation, *before* anything can kill the connection
         #    (RFC 5961-style acceptance).  A legitimate reset comes from a
         #    peer answering our own segments, so its sequence number lands
@@ -843,14 +859,17 @@ class TcpConnection:
                     self.on_urgent(max(0, seq_sub(urgent_end, rcv.rcv_next)))
         # 6. Payload.
         if payload and self.state.can_receive:
-            delivered = rcv.accept(seg.seq, payload)
+            on_receive = self.on_receive
+            if on_receive is None:
+                delivered = rcv.accept(seg.seq, payload)
+            else:
+                # Push model: the application consumes on arrival, so
+                # nothing is held for a read and the window stays open.
+                delivered = rcv.take(seg.seq, payload)
             if delivered:
                 self.stats.bytes_delivered += len(delivered)
-                if self.on_receive is not None:
-                    # Push model: the application consumes immediately, so
-                    # drain the buffer to keep the advertised window open.
-                    rcv.read(len(delivered))
-                    self.on_receive(delivered)
+                if on_receive is not None:
+                    on_receive(delivered)
             self._schedule_ack(force=not self.config.delayed_ack
                                or rcv.out_of_order_segments > 0)
         elif payload:
@@ -892,14 +911,16 @@ class TcpConnection:
 
     def _process_ack(self, seg: TcpSegment) -> None:
         ack = seg.ack
-        if seq_sub(ack, self.snd_max) > 0:
+        # An ACK equal to SND.MAX or SND.UNA (every ACK a pure receiver
+        # sees) is at distance 0 without the modular arithmetic.
+        if ack != self.snd_max and seq_sub(ack, self.snd_max) > 0:
             self._send_ack()  # acks data we never sent — resync
             return
         if self.snd_nxt != self.snd_max and seq_gt(ack, self.snd_nxt):
             # Legitimate: it covers data sent before a go-back-N pull-back
             # (the receiver had it stashed out of order all along).
             self.snd_nxt = ack
-        advanced = seq_sub(ack, self.snd_una)
+        advanced = 0 if ack == self.snd_una else seq_sub(ack, self.snd_una)
         if advanced <= 0:
             # Duplicate ack.
             if seg.payload or seg.flags & (FLAG_FIN | FLAG_SYN):
@@ -1050,10 +1071,10 @@ class TcpConnection:
     def _send_ack(self) -> None:
         if self.rcv is None:
             return
+        # Positional, as in _try_send: ports, seq, ack, flags, window.
         self._send_segment(TcpSegment(
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=self.snd_nxt, ack=self.rcv.rcv_next, flags=FLAG_ACK,
-            window=self._advertised_window()))
+            self.local_port, self.remote_port, self.snd_nxt,
+            self.rcv.rcv_next, FLAG_ACK, self._advertised_window()))
 
     def _maybe_window_update(self) -> None:
         """After an application read reopens a closed window, tell the peer."""

@@ -135,11 +135,17 @@ class JacobsonKarnEstimator:
             self.rttvar += 0.25 * (abs(err) - self.rttvar)
 
     def timeout(self) -> float:
+        # min(max_rto, max(min_rto, base * backoff)), with base = srtt +
+        # max(4 * rttvar, 10 ms), written out: this runs once per ACK.
         if self.srtt is None:
             base = self._initial
         else:
-            base = self.srtt + max(4 * self.rttvar, 0.010)
-        return min(self.max_rto, max(self.min_rto, base * self._backoff_factor))
+            spread = 4 * self.rttvar
+            base = self.srtt + (0.010 if 0.010 > spread else spread)
+        rto = base * self._backoff_factor
+        if not rto > self.min_rto:
+            rto = self.min_rto
+        return rto if rto < self.max_rto else self.max_rto
 
     def backoff(self) -> None:
         self._backoff_factor = min(self._backoff_factor * 2, 64.0)

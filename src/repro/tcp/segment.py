@@ -7,6 +7,14 @@ matters when small packets from an interactive application must be recovered
 efficiently.  The segment here is the RFC-793 20-byte header (plus an MSS
 option on SYNs) with real serialization and pseudo-header checksums, and the
 modular comparison helpers every correct TCP needs.
+
+Each end pays for a segment's bytes once (goal 6: the host carries this
+cost itself).  The sender packs the pseudo-header and header in one
+``struct`` call and sums them with the payload in one pass; the receiver
+parses the header with one ``unpack_from`` and verifies in one pass, and
+walks the options only when the data offset says there are some.
+``tests/test_tcp_codec_differential.py`` holds the codec to the original
+concatenating one, byte for byte and error for error.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..ip.address import Address
-from ..ip.checksum import internet_checksum, verify_checksum
+from ..ip.checksum import ones_complement_sum
 from ..ip.packet import PROTO_TCP
 
 __all__ = [
@@ -56,6 +64,13 @@ FLAG_CWR = 0x80
 _OPT_END = 0
 _OPT_NOP = 1
 _OPT_MSS = 2
+
+# The pseudo-header (source, destination, zero, protocol, TCP length) and
+# the header, as the checksum sees them and as the wire carries them.
+_PSEUDO = struct.Struct("!IIBBH")
+_HEADER = struct.Struct("!HHIIHHHH")
+_PSEUDO_AND_HEADER = struct.Struct("!IIBBH" "HHIIHHHH")
+_MSS_OPTION = struct.Struct("!BBH")
 
 
 class SegmentError(ValueError):
@@ -155,63 +170,48 @@ class TcpSegment:
         return "|".join(names) or "-"
 
     # -- wire format ----------------------------------------------------
-    def _options_bytes(self) -> bytes:
-        if self.mss_option is None:
-            return b""
-        # MSS option (kind=2, len=4, value) padded to a 4-byte boundary.
-        return struct.pack("!BBH", _OPT_MSS, 4, self.mss_option)
-
     def to_bytes(self, src: Address, dst: Address) -> bytes:
-        """Serialize with a valid pseudo-header checksum."""
-        options = self._options_bytes()
-        header_len = TCP_HEADER_LEN + len(options)
-        if header_len % 4:
-            options += b"\x00" * (4 - header_len % 4)
-            header_len = TCP_HEADER_LEN + len(options)
+        """Serialize with a valid pseudo-header checksum.
+
+        One ``struct`` call packs the pseudo-header and the header, one
+        pass sums them with the payload, and the header is packed again
+        with the checksum in place."""
+        payload = self.payload
+        if self.mss_option is None:
+            options = b""
+            header_len = TCP_HEADER_LEN
+        else:
+            # MSS option (kind=2, len=4, value): already a 4-byte multiple.
+            options = _MSS_OPTION.pack(_OPT_MSS, 4, self.mss_option)
+            header_len = TCP_HEADER_LEN + 4
         offset_flags = ((header_len // 4) << 12) | self.flags
-        header = struct.pack(
-            "!HHIIHHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            offset_flags,
-            self.window,
-            0,  # checksum placeholder
-            self.urgent,
-        ) + options
-        total = len(header) + len(self.payload)
-        pseudo = src.to_bytes() + dst.to_bytes() + struct.pack("!BBH", 0, PROTO_TCP, total)
-        csum = internet_checksum(pseudo + header + self.payload)
-        header = header[:16] + struct.pack("!H", csum) + header[18:]
-        return header + self.payload
+        head = _PSEUDO_AND_HEADER.pack(
+            src._value, dst._value, 0, PROTO_TCP, header_len + len(payload),
+            self.src_port, self.dst_port, self.seq, self.ack, offset_flags,
+            self.window, 0, self.urgent)
+        csum = ~ones_complement_sum(head + options + payload) & 0xFFFF
+        return _HEADER.pack(
+            self.src_port, self.dst_port, self.seq, self.ack, offset_flags,
+            self.window, csum, self.urgent) + options + payload
 
     @classmethod
     def from_bytes(cls, src: Address, dst: Address, data: bytes) -> "TcpSegment":
         """Parse and checksum-verify; raises :class:`SegmentError`."""
-        if len(data) < TCP_HEADER_LEN:
-            raise SegmentError(f"short TCP segment: {len(data)} bytes")
+        length = len(data)
+        if length < TCP_HEADER_LEN:
+            raise SegmentError(f"short TCP segment: {length} bytes")
         (src_port, dst_port, seq, ack, offset_flags,
-         window, _csum, urgent) = struct.unpack("!HHIIHHHH", data[:TCP_HEADER_LEN])
+         window, _csum, urgent) = _HEADER.unpack_from(data)
         header_len = (offset_flags >> 12) * 4
-        if header_len < TCP_HEADER_LEN or header_len > len(data):
+        if header_len < TCP_HEADER_LEN or header_len > length:
             raise SegmentError(f"bad data offset {header_len}")
-        pseudo = src.to_bytes() + dst.to_bytes() + struct.pack(
-            "!BBH", 0, PROTO_TCP, len(data))
-        if not verify_checksum(pseudo + data):
+        pseudo = _PSEUDO.pack(src._value, dst._value, 0, PROTO_TCP, length)
+        if ones_complement_sum(pseudo + data) != 0xFFFF:
             raise SegmentError("TCP checksum failed")
-        mss = cls._parse_mss(data[TCP_HEADER_LEN:header_len])
-        return cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=offset_flags & 0xFF,
-            window=window,
-            payload=data[header_len:],
-            urgent=urgent,
-            mss_option=mss,
-        )
+        mss = (cls._parse_mss(data[TCP_HEADER_LEN:header_len])
+               if header_len > TCP_HEADER_LEN else None)
+        return cls(src_port, dst_port, seq, ack, offset_flags & 0xFF, window,
+                   data[header_len:], urgent, mss)
 
     @staticmethod
     def _parse_mss(options: bytes) -> Optional[int]:

@@ -240,13 +240,13 @@ class TcpStack:
         except SegmentError:
             self.bad_segments += 1
             return
-        if self.in_quiet_time():
+        if node.sim._now < self._quiet_until and self.enforce_quiet_time:
             # RFC 793 quiet time: the freshly rebooted host neither answers
             # old segments (no RSTs yet) nor accepts new conversations until
             # its previous incarnation's sequence numbers have drained.
             self.quiet_time_drops += 1
             return
-        key = (seg.dst_port, int(datagram.src), seg.src_port)
+        key = (seg.dst_port, datagram.src._value, seg.src_port)
         conn = self._connections.get(key)
         if conn is not None:
             conn.segment_arrived(seg, ce=bool(datagram.tos & TOS_CE))

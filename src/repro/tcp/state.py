@@ -27,26 +27,13 @@ class TcpState(enum.Enum):
     LAST_ACK = "LAST_ACK"
     TIME_WAIT = "TIME_WAIT"
 
-    @property
-    def can_send(self) -> bool:
-        """States in which the application may still submit data."""
-        return self in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT)
-
-    @property
-    def can_receive(self) -> bool:
-        """States in which incoming data is still accepted."""
-        return self in (
-            TcpState.ESTABLISHED,
-            TcpState.FIN_WAIT_1,
-            TcpState.FIN_WAIT_2,
-        )
-
-    @property
-    def is_synchronized(self) -> bool:
-        """States after the handshake completes (RFC 793 terminology)."""
-        return self not in (
-            TcpState.CLOSED,
-            TcpState.LISTEN,
-            TcpState.SYN_SENT,
-            TcpState.SYN_RECEIVED,
-        )
+    def __init__(self, value: str):
+        # Fixed per state, so set once on each member rather than worked
+        # out on every segment.
+        #: States in which the application may still submit data.
+        self.can_send = value in ("ESTABLISHED", "CLOSE_WAIT")
+        #: States in which incoming data is still accepted.
+        self.can_receive = value in ("ESTABLISHED", "FIN_WAIT_1", "FIN_WAIT_2")
+        #: States after the handshake completes (RFC 793 terminology).
+        self.is_synchronized = value not in (
+            "CLOSED", "LISTEN", "SYN_SENT", "SYN_RECEIVED")

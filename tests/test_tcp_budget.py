@@ -2,7 +2,8 @@
 
 Between the application and IP a TCP segment costs O(that segment): the
 socket hands the transport each byte once, an advancing ACK re-arms one
-timer, and neither the calls nor the bytes copied grow with the backlog
+timer, each end sums the segment once, no ``Address`` method runs per
+segment, and neither the calls nor the bytes copied grow with the backlog
 behind the segment.  Like ``test_hop_budget.py`` this gates counts, never
 wall time: on a fixed lossless scenario they repeat exactly, whatever the
 hash seed.
@@ -13,10 +14,13 @@ import pstats
 
 from repro.netlayer.link import PointToPointLink
 from repro.sim.engine import Simulator
+from repro.ip.checksum import ones_complement_sum
 from repro.sim.process import Timer
 from repro.sockets.api import Gateway, Host
+from repro.tcp import segment
 from repro.tcp.buffers import SendBuffer
 from repro.tcp.connection import TcpConnection
+from repro.tcp.stack import TcpStack
 
 SMALL = 1600 * 256         # both sizes are several send buffers deep
 LARGE = 4 * SMALL
@@ -101,6 +105,14 @@ def tcp_calls(profile):
         if "/repro/tcp/" in filename or "/repro/sockets/" in filename)
 
 
+def address_calls(profile):
+    """Calls into ``repro.ip.address`` (``Address`` and ``Prefix``)."""
+    return sum(
+        ncalls for (filename, _, _), (_, ncalls, *_)
+        in pstats.Stats(profile).stats.items()
+        if filename.endswith("/repro/ip/address.py"))
+
+
 # ----------------------------------------------------------------------
 def test_each_application_byte_is_handed_to_the_transport_once(monkeypatch):
     counts = Counts(monkeypatch)
@@ -132,28 +144,59 @@ def test_python_calls_per_segment_under_ceiling():
     """cProfile count of Python-level calls into ``repro.tcp`` and
     ``repro.sockets`` per segment the sender emits; both ends' work (the
     receiver's ACK, the sender's processing of it) is in the count.
-    Measured after the diet: 227,963 calls / 3,060 segments = 74.5
-    (808,304 = 264.2 before it, and that is before counting the 1,467
-    bytes copied per byte sent); the ceiling sits 10 % above.  The count
-    repeats exactly, so this fails only when someone adds per-segment
-    calls."""
+    Measured after the codec and host-path diet (one ``struct`` call and
+    one checksum pass per segment at each end, no call whose only answer
+    is "nothing to do"): 167,281 calls / 3,060 segments = 54.7.  It was
+    227,963 = 74.5 before that, and 808,304 = 264.2 before the first
+    diet, which also copied 1,467 bytes per byte sent.  The ceiling sits
+    10 % above.  The count repeats exactly, so this fails only when
+    someone adds per-segment calls."""
     profile = cProfile.Profile()
     sock = run(LARGE, profile=profile)
     segments = sock.conn.stats.segments_sent
     calls = tcp_calls(profile)
-    assert calls / segments <= 81.9, f"{calls} calls / {segments} segments"
+    assert calls / segments <= 60.1, f"{calls} calls / {segments} segments"
+
+
+def test_each_segment_is_summed_once_at_each_end(monkeypatch):
+    """Every checksum is still computed and verified, and only once: the
+    sender sums a segment when it packs it, the receiver when it parses
+    it, so on a lossless path the sums are exactly twice the segments
+    both ends sent."""
+    sums, sent = [], []
+    transmit = TcpStack.transmit
+
+    def counted_sum(data):
+        sums.append(len(data))
+        return ones_complement_sum(data)
+
+    def counted_transmit(stack, conn, seg):
+        sent.append(seg)
+        transmit(stack, conn, seg)
+
+    monkeypatch.setattr(segment, "ones_complement_sum", counted_sum)
+    monkeypatch.setattr(TcpStack, "transmit", counted_transmit)
+    run(SMALL)
+    assert len(sent) > 1000
+    assert len(sums) == 2 * len(sent)
 
 
 def test_four_times_the_transfer_costs_four_times_the_work(monkeypatch):
     """The gate that keeps any O(backlog) term from returning: with the
-    whole unsent file re-copied on every ACK, 4x the bytes cost 16x."""
+    whole unsent file re-copied on every ACK, 4x the bytes cost 16x.  And
+    the row that keeps ``Address`` off the per-segment path: the few
+    ``Address`` calls a transfer makes (first route lookups, the close)
+    are the same for 4x the segments, i.e. zero per segment."""
     counts = Counts(monkeypatch)
     cost = {}
     for size in (SMALL, LARGE):
         del counts.handed[:]
         profile = cProfile.Profile()
         run(size, profile=profile)
-        cost[size] = (tcp_calls(profile), sum(counts.handed))
-    (calls_s, bytes_s), (calls_l, bytes_l) = cost[SMALL], cost[LARGE]
+        cost[size] = (tcp_calls(profile), sum(counts.handed),
+                      address_calls(profile))
+    (calls_s, bytes_s, addr_s), (calls_l, bytes_l, addr_l) = \
+        cost[SMALL], cost[LARGE]
     assert calls_l <= 4.1 * calls_s, f"{calls_l} vs {calls_s} calls"
     assert bytes_l <= 4.1 * bytes_s, f"{bytes_l} vs {bytes_s} bytes"
+    assert addr_l == addr_s, f"{addr_l} vs {addr_s} Address calls"
