@@ -12,7 +12,8 @@ fragments is lost if *any* fragment is lost, so effective loss compounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..sim.engine import EventHandle, Simulator
@@ -34,36 +35,29 @@ def fragment(datagram: Datagram, mtu: int) -> list[Datagram]:
     in 8-byte units; every fragment carries the full IP header (the per-
     fragment header cost measured by E11).  Fragmenting a fragment is legal
     and preserves offsets, as the architecture requires for cascaded small-
-    MTU networks.
+    MTU networks.  Each piece is built once, from the source's fields.
     """
-    if datagram.total_length <= mtu:
+    payload = datagram.payload
+    size = len(payload)
+    if IP_HEADER_LEN + size <= mtu:
         return [datagram]
     if datagram.dont_fragment:
         raise FragmentationError(
-            f"datagram of {datagram.total_length} B needs fragmentation "
+            f"datagram of {IP_HEADER_LEN + size} B needs fragmentation "
             f"for mtu {mtu} but DF is set"
         )
     max_payload = mtu - IP_HEADER_LEN
     if max_payload < _FRAG_UNIT:
         raise FragmentationError(f"mtu {mtu} cannot carry any payload")
     # All fragments except the last must carry a multiple of 8 bytes.
-    chunk = (max_payload // _FRAG_UNIT) * _FRAG_UNIT
-    payload = datagram.payload
-    fragments: list[Datagram] = []
-    offset_units = datagram.fragment_offset
-    pos = 0
-    while pos < len(payload):
-        piece = payload[pos : pos + chunk]
-        last_piece = pos + len(piece) >= len(payload)
-        fragments.append(
-            datagram.copy(
-                payload=piece,
-                fragment_offset=offset_units + pos // _FRAG_UNIT,
-                more_fragments=datagram.more_fragments or not last_piece,
-            )
-        )
-        pos += len(piece)
-    return fragments
+    chunk = max_payload & ~(_FRAG_UNIT - 1)
+    d = datagram
+    src, dst, protocol, ttl, ident = d.src, d.dst, d.protocol, d.ttl, d.ident
+    more, base, tos, trace_id = d.more_fragments, d.fragment_offset, d.tos, d.trace_id
+    return [Datagram(src, dst, protocol, payload[pos : pos + chunk], ttl, ident,
+                     False, more or pos + chunk < size, base + pos // _FRAG_UNIT,
+                     tos, trace_id)
+            for pos in range(0, size, chunk)]
 
 
 @dataclass
@@ -76,15 +70,16 @@ class ReassemblyStats:
     duplicate_fragments: int = 0
 
 
-@dataclass
 class _Buffer:
     """State for one in-progress reassembly (keyed by src,dst,proto,ident)."""
 
-    pieces: dict[int, bytes] = field(default_factory=dict)  # offset_units -> data
-    total_units: Optional[int] = None  # set once the last fragment arrives
-    first_arrival: float = 0.0
-    template: Optional[Datagram] = None
-    timer: Optional[EventHandle] = None  # reassembly-timeout event
+    __slots__ = ("pieces", "total_units", "template", "timer")
+
+    def __init__(self) -> None:
+        self.pieces: dict[int, bytes] = {}  # offset_units -> data
+        self.total_units: Optional[int] = None  # set once the last fragment arrives
+        self.template: Optional[Datagram] = None
+        self.timer: Optional[EventHandle] = None  # reassembly-timeout event
 
 
 class Reassembler:
@@ -108,78 +103,72 @@ class Reassembler:
         self.stats = ReassemblyStats()
         self._buffers: dict[tuple, _Buffer] = {}
 
-    def _key(self, d: Datagram) -> tuple:
-        return (d.src._value, d.dst._value, d.protocol, d.ident)
-
     def accept(self, datagram: Datagram) -> Optional[Datagram]:
         """Feed one arriving datagram; returns the completed datagram when
         the last missing fragment arrives, else None.
 
         Unfragmented datagrams pass straight through.
         """
-        if not datagram.is_fragment:
+        offset = datagram.fragment_offset
+        more = datagram.more_fragments
+        if not (more or offset > 0):
             return datagram
-        self.stats.fragments_received += 1
-        key = self._key(datagram)
+        stats = self.stats
+        stats.fragments_received += 1
+        key = (datagram.src._value, datagram.dst._value, datagram.protocol,
+               datagram.ident)
         buf = self._buffers.get(key)
         if buf is None:
-            buf = _Buffer(first_arrival=self.sim.now)
-            self._buffers[key] = buf
+            buf = self._buffers[key] = _Buffer()
             # Keep the handle so completion can cancel the timer; otherwise a
             # stale timer from a completed reassembly would prematurely
             # expire a *new* buffer that reuses the same (src,dst,proto,id).
-            buf.timer = self.sim.schedule(
-                self.timeout, lambda: self._expire(key), label="ip:reassembly-timeout"
-            )
-        if datagram.fragment_offset in buf.pieces:
-            self.stats.duplicate_fragments += 1
+            buf.timer = self.sim.schedule(self.timeout, partial(self._expire, key),
+                                          label="ip:reassembly-timeout")
+        pieces = buf.pieces
+        if offset in pieces:
+            stats.duplicate_fragments += 1
             return None
-        buf.pieces[datagram.fragment_offset] = datagram.payload
-        if datagram.fragment_offset == 0:
+        payload = pieces[offset] = datagram.payload
+        if not offset:
             buf.template = datagram
-        if not datagram.more_fragments:
-            buf.total_units = (
-                datagram.fragment_offset + (len(datagram.payload) + _FRAG_UNIT - 1) // _FRAG_UNIT
-            )
-        return self._try_complete(key, buf)
-
-    def _try_complete(self, key: tuple, buf: _Buffer) -> Optional[Datagram]:
-        if buf.total_units is None or buf.template is None:
+        if not more:
+            buf.total_units = offset + (len(payload) + _FRAG_UNIT - 1) // _FRAG_UNIT
+        total, template = buf.total_units, buf.template
+        if total is None or template is None:
             return None
-        # Walk contiguously from offset 0 to the end.
-        assembled = bytearray()
+        # Walk contiguously from offset 0 to the end.  An empty piece cannot
+        # advance the walk: it is a gap, left to the timer, not a spin.
+        parts = []
         units = 0
-        while units < buf.total_units:
-            piece = buf.pieces.get(units)
-            if piece is None:
+        while units < total:
+            piece = pieces.get(units)
+            if not piece:
                 return None
-            assembled.extend(piece)
+            parts.append(piece)
             units += (len(piece) + _FRAG_UNIT - 1) // _FRAG_UNIT
         del self._buffers[key]
-        if buf.timer is not None:
-            buf.timer.cancel()
-        self.stats.datagrams_reassembled += 1
-        return buf.template.copy(
-            payload=bytes(assembled), more_fragments=False, fragment_offset=0
-        )
+        buf.timer.cancel()
+        stats.datagrams_reassembled += 1
+        return Datagram(template.src, template.dst, template.protocol,
+                        b"".join(parts), template.ttl, template.ident,
+                        template.dont_fragment, False, 0, template.tos,
+                        template.trace_id)
 
     def _expire(self, key: tuple) -> None:
         buf = self._buffers.pop(key, None)
         if buf is None:
             return
-        if buf.timer is not None:
-            buf.timer.cancel()  # no-op for the firing timer; tidy either way
         self.stats.reassembly_timeouts += 1
-        owner = self.owner
-        if owner is not None and buf.template is not None:
-            obs = getattr(owner, "obs", None)
-            if obs is not None and obs.enabled:
-                held = len(buf.pieces)
-                obs.drop(self.sim.now, owner.name, "drop-reassembly-timeout",
-                         buf.template,
-                         f"{held} fragment(s) held {self.timeout:.1f}s")
-        if self.on_timeout is not None and buf.template is not None:
-            self.on_timeout(buf.template)
+        template = buf.template
+        if template is None:
+            return
+        obs = getattr(self.owner, "obs", None)
+        if obs is not None and obs.enabled:
+            obs.drop(self.sim.now, self.owner.name, "drop-reassembly-timeout", template,
+                     f"{len(buf.pieces)} fragment(s) held {self.timeout:.1f}s")
+        if self.on_timeout is not None:
+            self.on_timeout(template)
 
     @property
     def in_progress(self) -> int:

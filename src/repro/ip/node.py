@@ -378,11 +378,12 @@ class Node:
                     self.address, datagram, icmp.UNREACH_NEEDFRAG))
             return False
         self.stats.fragments_created += len(pieces)
-        self.tracer.log(self.sim.now, "ip", self.name, "frag",
-                        f"{datagram.ident}->{len(pieces)}")
+        if self.tracer.enabled:
+            self.tracer.log(self.sim.now, "ip", self.name, "frag",
+                            f"{datagram.ident}->{len(pieces)}")
         if obs is not None:
-            # Fragments inherit the parent's trace id via copy(), so
-            # the journey records the split and stays whole across it.
+            # Fragments inherit the parent's trace id, so the journey
+            # records the split and stays whole across it.
             obs.hop(self.sim.now, self.name, "forward", "fragmented",
                     datagram, ("%s pieces, mtu=%s", len(pieces), mtu))
         for piece in pieces:

@@ -81,8 +81,8 @@ class Datagram:
     #: Observability trace context (0 = untraced).  Stamped once at
     #: origination by the sending node when an
     #: :class:`~repro.obs.core.Observability` layer is installed; every
-    #: ``copy()`` derivative — forwarded hops, fragments, the reassembled
-    #: whole — inherits it, which is what lets a journey survive
+    #: derivative — forwarded hops, fragments, the reassembled whole —
+    #: inherits it, which is what lets a journey survive
     #: fragmentation and reassembly.  Simulation metadata only: it is not
     #: part of the RFC-791 wire format and ``to_bytes``/``from_bytes``
     #: deliberately ignore it (a parsed datagram starts a fresh, untraced
@@ -103,9 +103,9 @@ class Datagram:
         return self.more_fragments or self.fragment_offset > 0
 
     def copy(self, **changes) -> "Datagram":
-        """Return a copy, with ``changes`` applied (fragmentation passes
-        them; the transit path copies bare and decrements ``ttl`` itself —
-        this is the hop's one datagram allocation).
+        """Return a copy, with ``changes`` applied (fault injection and
+        traceroute pass them; the transit path copies bare and decrements
+        ``ttl`` itself — this is the hop's one datagram allocation).
 
         Hand-rolled instead of :func:`dataclasses.replace`: ``replace``
         re-enters ``__init__`` through keyword dispatch.  Direct slot

@@ -51,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TcpConfig", "TcpConnection", "ConnStats"]
 
+#: The smallest send MSS, whatever the peer's SYN says (Linux's
+#: ``TCP_MIN_MSS``): an MSS option of 0 would cut 0-byte segments forever.
+MIN_MSS = 88
+
 
 @dataclass
 class TcpConfig:
@@ -112,6 +116,10 @@ class TcpConfig:
     #: counter ticks.  Legitimate clients whose embryo was evicted recover
     #: by retransmitting their SYN once the flood subsides.
     max_half_open: int = 0
+
+    def __post_init__(self) -> None:
+        if self.mss < MIN_MSS:
+            raise ValueError(f"mss {self.mss} is below the floor of {MIN_MSS}")
 
     def make_rto(self) -> RtoEstimator:
         return make_estimator(self.rto, **self.rto_kwargs)
@@ -354,7 +362,7 @@ class TcpConnection:
         self.rcv = ReceiveBuffer(seq_add(syn.seq, 1),
                                  capacity=self.config.recv_buffer)
         if syn.mss_option is not None:
-            self.snd_mss = min(self.config.mss, syn.mss_option)
+            self.snd_mss = max(MIN_MSS, min(self.config.mss, syn.mss_option))
         self.snd_wnd = syn.window
 
     def _establish(self) -> None:

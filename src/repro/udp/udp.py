@@ -11,11 +11,10 @@ two things to IP: ports for demultiplexing and an (optional) checksum.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from ..ip.address import Address
-from ..ip.checksum import internet_checksum, verify_checksum
+from ..ip.checksum import ones_complement_sum
 from ..ip.node import Node
 from ..ip.packet import Datagram, PROTO_UDP
 from ..ip import icmp
@@ -50,12 +49,13 @@ class UdpChecksumError(UdpError):
     """
 
 
-def _pseudo_header(src: Address, dst: Address, length: int) -> bytes:
-    return struct.pack("!IIBBH", src._value, dst._value, 0, PROTO_UDP, length)
+# The pseudo-header and the header, as the checksum and the wire see them.
+_PSEUDO = struct.Struct("!IIBBH")
+_HEADER = struct.Struct("!HHHH")
+_PSEUDO_AND_HEADER = struct.Struct("!IIBBH" "HHHH")
 
 
-@dataclass(frozen=True)
-class UdpHeader:
+class UdpHeader(NamedTuple):
     """The 8-byte UDP header."""
 
     src_port: int
@@ -64,36 +64,38 @@ class UdpHeader:
     checksum: int = 0
 
     def to_bytes(self) -> bytes:
-        return struct.pack("!HHHH", self.src_port, self.dst_port,
-                           self.length, self.checksum)
+        return _HEADER.pack(*self)
 
 
 def encode(src: Address, dst: Address, src_port: int, dst_port: int,
            payload: bytes, *, with_checksum: bool = True) -> bytes:
-    """Build a UDP segment (header + payload) with pseudo-header checksum."""
+    """Build a UDP segment (header + payload) with pseudo-header checksum:
+    one pack of pseudo-header and header, one sum over them and the
+    payload, and the header packed again with the checksum in place."""
     length = UDP_HEADER_LEN + len(payload)
-    header = struct.pack("!HHHH", src_port, dst_port, length, 0)
+    csum = 0
     if with_checksum:
-        csum = internet_checksum(_pseudo_header(src, dst, length) + header + payload)
-        if csum == 0:
-            csum = 0xFFFF  # transmitted 0 means "no checksum"
-        header = header[:6] + struct.pack("!H", csum)
-    return header + payload
+        head = _PSEUDO_AND_HEADER.pack(src._value, dst._value, 0, PROTO_UDP,
+                                       length, src_port, dst_port, length, 0)
+        # A computed 0 is sent as 0xFFFF: a transmitted 0 means "no checksum".
+        csum = ~ones_complement_sum(head + payload) & 0xFFFF or 0xFFFF
+    return _HEADER.pack(src_port, dst_port, length, csum) + payload
 
 
 def decode(src: Address, dst: Address, segment: bytes) -> tuple[UdpHeader, bytes]:
-    """Parse and checksum-verify a UDP segment."""
+    """Parse and checksum-verify a UDP segment: one ``unpack_from``, and
+    one pass over the pseudo-header and segment when it carries a sum."""
     if len(segment) < UDP_HEADER_LEN:
         raise UdpError(f"short UDP segment: {len(segment)} bytes")
-    src_port, dst_port, length, checksum = struct.unpack("!HHHH", segment[:8])
+    src_port, dst_port, length, checksum = _HEADER.unpack_from(segment)
     if length < UDP_HEADER_LEN or length > len(segment):
         raise UdpError(f"bad UDP length {length}")
-    payload = segment[UDP_HEADER_LEN:length]
-    if checksum != 0:
-        whole = _pseudo_header(src, dst, length) + segment[:length]
-        if not verify_checksum(whole):
-            raise UdpChecksumError("UDP checksum failed")
-    return UdpHeader(src_port, dst_port, length, checksum), payload
+    if checksum and ones_complement_sum(
+            _PSEUDO.pack(src._value, dst._value, 0, PROTO_UDP, length)
+            + segment[:length]) != 0xFFFF:
+        raise UdpChecksumError("UDP checksum failed")
+    return (UdpHeader(src_port, dst_port, length, checksum),
+            segment[UDP_HEADER_LEN:length])
 
 
 class UdpSocket:

@@ -527,3 +527,47 @@ def test_retransmitted_synack_does_not_reset_established_connection(sim):
     conn.send(b"still alive")
     sim.run(until=3)
     assert bytes(data) == b"still alive"
+
+
+# ----------------------------------------------------------------------
+# The MSS floor
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("option", [0, 1])
+def test_tiny_peer_mss_option_is_clamped_and_the_transfer_completes(
+        sim, monkeypatch, option):
+    """A SYN whose MSS option is below the floor: the receiver of that SYN
+    sends segments of at least ``MIN_MSS``.  Before the floor an option of
+    0 cut 0-byte segments forever and froze the simulation, so the floor
+    is asserted before any data is written: a regression fails here, it
+    does not hang."""
+    from dataclasses import replace
+
+    from repro.tcp.connection import MIN_MSS
+    ca, cb, *_ = tcp_pair(sim)
+    conns, _ = accept_collect(cb, 80)
+    transmit = TcpStack.transmit
+
+    def tiny_syn_mss(stack, conn, seg):
+        if stack is ca and seg.syn:
+            seg = replace(seg, mss_option=option)
+        transmit(stack, conn, seg)
+
+    monkeypatch.setattr(TcpStack, "transmit", tiny_syn_mss)
+    conn = ca.connect("10.0.1.2", 80)
+    received = bytearray()
+    conn.on_receive = received.extend
+    sim.run(until=1)
+    server = conns[0]
+    assert server.state is TcpState.ESTABLISHED
+    assert server.snd_mss == MIN_MSS
+    server.send(bytes(range(250)) * 4)
+    sim.run(until=3)
+    assert bytes(received) == bytes(range(250)) * 4
+
+
+def test_config_mss_below_the_floor_is_refused():
+    from repro.tcp.connection import MIN_MSS
+    for mss in (0, 1, MIN_MSS - 1):
+        with pytest.raises(ValueError, match="below the floor"):
+            TcpConfig(mss=mss)
+    assert TcpConfig(mss=MIN_MSS).mss == MIN_MSS
